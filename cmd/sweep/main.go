@@ -34,23 +34,17 @@
 //	      [-params 'key=value ...']
 //	      [-warmup N] [-measure N] [-matn N] [-ms]
 //	      [-workers N] [-partitions N|-1] [-cache DIR|on|off] [-json DIR] [-csvdir DIR]
-//	      [-backend disk|http=URL|tiered=URL]
 //	      [-csv] [-quiet]
 //	      [-manifest FILE] [-trace FILE] [-obs] [-cache-stats]
 //	      [-cache-gc -cache-max-bytes SIZE]
 //	      [-cpuprofile FILE] [-memprofile FILE]
-//	sweep serve  [-addr :8080] [-backend ...] [-cache ...] [-workers N] [-quiet]
-//	sweep worker -join URL [-workers N] [-max-points N] [-wait DUR]
-//	             [-idle-exit DUR] [-name NAME] [-quiet]
+//	sweep serve [-addr :8080] [-cache DIR|on|off] [-workers N] [-partitions N|-1] [-quiet]
 //
 // Service mode (package internal/fabric): `sweep serve` runs a
 // long-lived node answering GET /v1/kind/{name}?format=json|csv|table
-// from the warm cache — computing on miss exactly once however many
-// clients ask concurrently, with cache-key-derived ETags so conditional
-// re-fetches cost a 304 — and coordinating `sweep worker` machines that
-// lease grid points over HTTP. The -backend flag points any mode at a
-// remote node's cache ("http=URL") or layers the local disk cache in
-// front of one ("tiered=URL"). -cache-gc bounds the disk cache by
+// from the warm disk cache — computing on miss exactly once however
+// many clients ask concurrently, with cache-key-derived ETags so
+// conditional re-fetches cost a 304. -cache-gc bounds the disk cache by
 // evicting least-recently-used points down to -cache-max-bytes.
 //
 // Observability: -manifest writes a JSON run manifest (job spec hashes,
@@ -114,17 +108,11 @@ func splitList(s string) []string {
 }
 
 func main() {
-	// Service subcommands dispatch before ordinary flag parsing; the
-	// classic one-shot CLI keeps its exact flag surface.
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "serve":
-			runServe(os.Args[2:])
-			return
-		case "worker":
-			runWorker(os.Args[2:])
-			return
-		}
+	// The service subcommand dispatches before ordinary flag parsing;
+	// the one-shot CLI keeps its own flag surface.
+	if len(os.Args) > 1 && os.Args[1] == "serve" {
+		runServe(os.Args[2:])
+		return
 	}
 	figs := flag.String("fig", "", "figures to regenerate (comma-separated subset of 3,4,5,6)")
 	tables := flag.String("table", "", "tables to regenerate (comma-separated subset of 1,2)")
@@ -144,7 +132,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	partitions := flag.Int("partitions", 0, "kernel partitions per simulated system: 0 = sequential kernel, -1 = adaptive (measure per-cycle work, then shard if it pays), N = N OS threads per point (results are bit-identical for any value)")
 	cacheFlag := flag.String("cache", "", "point cache: directory, \"on\" (default, ~/.cache/lrscwait) or \"off\"")
-	backendFlag := flag.String("backend", "", "point store: \"disk\" (default, the -cache directory), \"http=URL\" (a `sweep serve` node) or \"tiered=URL\" (disk in front of remote)")
 	cacheGC := flag.Bool("cache-gc", false, "evict least-recently-used point-cache entries down to -cache-max-bytes (standalone with no selection, or after the run)")
 	cacheMaxBytes := flag.String("cache-max-bytes", "", "cache size budget for -cache-gc: bytes, optionally suffixed K/M/G/T (e.g. 512M)")
 	jsonDir := flag.String("json", "", "also write one deterministic <kind>.json per result into this directory")
@@ -158,6 +145,11 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// Flag parsing stops at the first non-flag, so a stray word would
+		// silently drop every flag after it.
+		fail("unexpected argument %q", flag.Arg(0))
+	}
 
 	// The scenario registry builds its systems internally, so the
 	// partition count travels as the process default.
@@ -346,16 +338,15 @@ func main() {
 		}
 	}
 
-	backend, cache, err := openBackend(*backendFlag, *cacheFlag)
+	cache, err := sweep.OpenCacheFlag(*cacheFlag, true)
 	if err != nil {
-		if *backendFlag != "" || *cacheFlag != "" {
-			// The user asked for this store; failing it is an error.
+		if *cacheFlag != "" {
+			// The user asked for this cache; failing it is an error.
 			fail("%v", err)
 		}
 		// The default cache is a convenience: degrade to an uncached run
 		// (e.g. no writable home directory) rather than refusing to sweep.
 		fmt.Fprintf(os.Stderr, "sweep: cache disabled: %v\n", err)
-		backend, cache = nil, nil
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -366,7 +357,7 @@ func main() {
 			fail("%v", err)
 		}
 	}
-	runner := sweep.Runner{Workers: *workers, Cache: backend}
+	runner := sweep.Runner{Workers: *workers, Cache: cache}
 	var flush func()
 	if !*quiet {
 		runner.Progress, flush = sweep.ProgressPrinter(os.Stderr)

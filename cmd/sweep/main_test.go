@@ -1,0 +1,66 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain lets a test re-run this binary as the sweep command: with
+// SWEEP_TEST_MAIN set, the process runs main on its own arguments
+// instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("SWEEP_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runSweep runs the command with args and returns its exit code and
+// stderr.
+func runSweep(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SWEEP_TEST_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stderr.String()
+	default:
+		t.Fatal(err)
+		return 0, ""
+	}
+}
+
+// TestExitStatus pins the exit-2 usage errors — a stray positional
+// argument, including the retired worker subcommand, and the retired
+// -backend flag — and that one -params value can serve several pattern
+// kinds, each seeing only the caller's parameters.
+func TestExitStatus(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-fig", "3", "extra"}, 2, `sweep: unexpected argument "extra"`},
+		{[]string{"worker", "-join", "http://x"}, 2, `sweep: unexpected argument "worker"`},
+		{[]string{"-backend", "disk"}, 2, "flag provided but not defined: -backend"},
+		{[]string{"serve", "extra"}, 2, `sweep serve: unexpected argument "extra"`},
+		{[]string{"-kind", "barrier,rcu", "-topo", "small", "-params", "wait=mwait",
+			"-cache", "off", "-quiet"}, 0, ""},
+	} {
+		code, stderr := runSweep(t, tc.args...)
+		if code != tc.code || !strings.Contains(stderr, tc.want) {
+			t.Errorf("sweep %s: exit %d, stderr %q; want exit %d with %q",
+				strings.Join(tc.args, " "), code, stderr, tc.code, tc.want)
+		}
+	}
+}

@@ -2,8 +2,6 @@ package fabric
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -262,248 +260,46 @@ func TestServeCoalescing(t *testing.T) {
 	}
 }
 
-// TestServeDegradedRemoteDown is the graceful-degradation contract: a
-// server whose backend is an unreachable remote still answers correctly
-// by computing locally, and counts the degradation.
-func TestServeDegradedRemoteDown(t *testing.T) {
-	reg := obs.NewRegistry()
-	// 127.0.0.1:1 refuses connections immediately; one attempt keeps
-	// the retry budget cheap.
-	dead := NewRemote("http://127.0.0.1:1", RemoteRetries(1, time.Millisecond))
-	srv := NewServer(dead, WithRegistry(reg), WithWorkers(2))
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// table2's rows are cacheable simulated points, so the dead remote
-	// is actually consulted (table1's rows carry no cache key at all).
-	kind := sweep.TableII
-	resp, got := get(t, ts.URL+"/v1/kind/"+string(kind)+"?"+testQuery(kind).Encode(), nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET with dead remote: %s\n%s", resp.Status, got)
-	}
-	runner := sweep.Runner{Workers: 2, Obs: obs.NewRegistry()}
-	res, _, err := runner.Run(testJob(kind))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("degraded response differs from local compute")
-	}
-	if reg.Snapshot().Counter("fabric.degraded") == 0 {
-		t.Fatal("fabric.degraded not counted")
-	}
-}
-
-// TestWorkerEndToEnd drives the full worker protocol: a worker joins
-// over HTTP, the serve node dispatches a cold job's points to it, the
-// worker computes and publishes them through the shared backend, and
-// the assembled response is byte-identical to a local run.
-func TestWorkerEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full distributed run")
-	}
-	sreg := obs.NewRegistry()
+// TestServeReadOnlyRoutes pins the service's read-only
+// surface: the cache can only be filled by the server's own
+// computations, so no route accepts a point from a client, exposes raw
+// entries, or hands out work.
+func TestServeReadOnlyRoutes(t *testing.T) {
 	cache := newDiskCache(t)
-	srv := NewServer(cache, WithRegistry(sreg), WithWorkers(2))
+	srv := NewServer(cache, WithRegistry(obs.NewRegistry()))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	wreg := obs.NewRegistry()
-	w := &Worker{
-		Coordinator: ts.URL,
-		Name:        "test-worker",
-		Workers:     2,
-		Wait:        200 * time.Millisecond,
-		Obs:         wreg,
-	}
-	wctx, cancel := context.WithCancel(context.Background())
-	workerDone := make(chan error, 1)
-	go func() { workerDone <- w.Run(wctx) }()
-	defer func() {
-		cancel()
-		select {
-		case <-workerDone:
-		case <-time.After(5 * time.Second):
-			t.Error("worker did not exit after cancel")
+	entry := `{"key":"k","point":{"x":1,"throughput":9}}`
+	for _, tc := range []struct {
+		method, path, body string
+	}{
+		{http.MethodPut, "/v1/cache", entry},
+		{http.MethodGet, "/v1/cache?key=k", ""},
+		{http.MethodPost, "/v1/work/lease", `{"worker":"w"}`},
+		{http.MethodPost, "/v1/work/complete", `{"leaseId":"l","done":[0]}`},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-
-	// Wait until the worker is parked in a lease poll, so the GET takes
-	// the dispatch path rather than computing in-process.
-	deadline := time.Now().Add(5 * time.Second)
-	for !srv.disp.workersPresent() {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never joined")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		resp.Body.Close()
+		if resp.StatusCode < 400 {
+			t.Errorf("%s %s: %s, want a 4xx refusal", tc.method, tc.path, resp.Status)
+		}
 	}
-
-	kind := sweep.Fig6
-	resp, got := get(t, ts.URL+"/v1/kind/"+string(kind)+"?"+testQuery(kind).Encode(), nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("dispatched GET: %s\n%s", resp.Status, got)
+	if _, ok := cache.Get("k"); ok {
+		t.Fatal("a client request stored a point in the cache")
 	}
-
-	other := obs.NewRegistry()
-	runner := sweep.Runner{Workers: 2, Obs: other}
-	res, _, err := runner.Run(testJob(kind))
+	st, err := cache.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("distributed response differs from local run")
-	}
-	if sreg.Snapshot().Counter("fabric.dispatch.jobs") == 0 {
-		t.Fatal("job was not dispatched")
-	}
-	if wreg.Snapshot().Counter("fabric.worker.points") == 0 {
-		t.Fatal("worker computed no points")
-	}
-}
-
-// TestTieredBackend exercises the layering logic with two disk caches:
-// local miss falls through to remote and back-fills, writes go through
-// to both layers.
-func TestTieredBackend(t *testing.T) {
-	local, remote := newDiskCache(t), newDiskCache(t)
-	reg := obs.NewRegistry()
-	tb := NewTiered(local, remote).ScopedBackend(reg).(*Tiered)
-
-	// Remote-only entry: Get falls through and back-fills local.
-	if err := remote.Put("k1", sweep.Point{X: 7}); err != nil {
-		t.Fatal(err)
-	}
-	p, ok := tb.Get("k1")
-	if !ok || p.X != 7 {
-		t.Fatalf("tiered Get(k1) = %+v, %v", p, ok)
-	}
-	if reg.Snapshot().Counter("fabric.tiered.remote_hits") != 1 {
-		t.Fatal("remote hit not counted")
-	}
-	if p, ok := local.Get("k1"); !ok || p.X != 7 {
-		t.Fatal("remote hit did not back-fill the local layer")
-	}
-
-	// Write-through: both layers see the Put.
-	if err := tb.Put("k2", sweep.Point{X: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := local.Get("k2"); !ok {
-		t.Fatal("Put missed the local layer")
-	}
-	if _, ok := remote.Get("k2"); !ok {
-		t.Fatal("Put missed the remote layer")
-	}
-
-	// Local hit never consults the remote counterfeit.
-	if err := local.Put("k3", sweep.Point{X: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := remote.Put("k3", sweep.Point{X: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := tb.Get("k3"); p.X != 1 {
-		t.Fatalf("tiered Get(k3).X = %d, want the local layer's 1", p.X)
-	}
-}
-
-// TestRemoteRetryAndDefinitiveMiss pins the client's failure posture:
-// 5xx retries with backoff until success, 404 is a definitive miss with
-// no retry, and Put round-trips.
-func TestRemoteRetryAndDefinitiveMiss(t *testing.T) {
-	var gets atomic.Int64
-	fail := atomic.Bool{}
-	fail.Store(true)
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/cache", func(w http.ResponseWriter, r *http.Request) {
-		gets.Add(1)
-		key := r.URL.Query().Get("key")
-		if key == "missing" {
-			http.NotFound(w, r)
-			return
-		}
-		if fail.CompareAndSwap(true, false) {
-			http.Error(w, "transient", http.StatusInternalServerError)
-			return
-		}
-		json.NewEncoder(w).Encode(CacheEntry{Key: key, Point: sweep.Point{X: 5}})
-	})
-	var put CacheEntry
-	mux.HandleFunc("PUT /v1/cache", func(w http.ResponseWriter, r *http.Request) {
-		json.NewDecoder(r.Body).Decode(&put)
-		w.WriteHeader(http.StatusNoContent)
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	reg := obs.NewRegistry()
-	rem := NewRemote(ts.URL, RemoteRetries(3, time.Millisecond)).ScopedBackend(reg).(*Remote)
-	p, ok := rem.Get("k")
-	if !ok || p.X != 5 {
-		t.Fatalf("Get after transient failure = %+v, %v", p, ok)
-	}
-	if got := gets.Load(); got != 2 {
-		t.Fatalf("transient 500 took %d attempts, want 2", got)
-	}
-
-	gets.Store(0)
-	if _, ok := rem.Get("missing"); ok {
-		t.Fatal("404 reported as a hit")
-	}
-	if got := gets.Load(); got != 1 {
-		t.Fatalf("definitive 404 took %d attempts, want 1 (no retry)", got)
-	}
-	if reg.Snapshot().Counter("fabric.degraded") != 0 {
-		t.Fatal("definitive miss counted as degradation")
-	}
-
-	if err := rem.Put("pk", sweep.Point{X: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if put.Key != "pk" || put.Point.X != 3 {
-		t.Fatalf("Put sent %+v", put)
-	}
-}
-
-// TestDispatcherLeaseExpiry pins the lost-worker path: an unfinished
-// lease expires after its TTL, its tasks requeue, and a second lease
-// (a healthy worker) completes the job. Completing the expired lease
-// afterwards is a harmless no-op.
-func TestDispatcherLeaseExpiry(t *testing.T) {
-	d := newDispatcher(obs.NewRegistry(), 30*time.Millisecond)
-	dj := d.submit("job", sweep.Job{Kind: sweep.Fig6}, []int{0, 1}, []string{"a", "b"})
-
-	lost := d.take(8)
-	if lost == nil || len(lost.Indices) != 2 {
-		t.Fatalf("first lease = %+v", lost)
-	}
-	if l := d.take(8); l != nil {
-		t.Fatalf("queue should be empty while leased, got %+v", l)
-	}
-	time.Sleep(40 * time.Millisecond)
-	d.requeueExpired(time.Now())
-
-	healthy := d.take(8)
-	if healthy == nil || len(healthy.Indices) != 2 {
-		t.Fatalf("post-expiry lease = %+v", healthy)
-	}
-	d.complete(healthy.ID, []int{0, 1})
-	select {
-	case <-dj.done:
-	default:
-		t.Fatal("job not done after healthy completion")
-	}
-	d.complete(lost.ID, []int{0, 1}) // expired ID: ignored
-	if got := len(d.doneIndices(dj)); got != 2 {
-		t.Fatalf("doneIndices = %d, want 2", got)
+	if st.Entries != 0 {
+		t.Fatalf("cache gained %d entries from client requests", st.Entries)
 	}
 }
 

@@ -1,3 +1,18 @@
+// Package fabric is the sweep service layer behind `sweep serve`: it
+// answers figure and table requests over HTTP from the point cache,
+// computing on miss exactly once however many clients ask concurrently.
+//
+// The package follows the source paper's thesis at service scale:
+// polling and retrying are the enemies of scale. Concurrent identical
+// requests collapse into one computation with wake-on-ready followers
+// (singleflight, no retry loop); warm traffic is answered from the disk
+// cache without ever touching the simulator; and conditional requests
+// (If-None-Match against cache-key-derived ETags) don't even transfer
+// the body.
+//
+// Routes: GET /v1/kind/{name} answers any registered scenario in
+// json/csv/table form, GET /v1/kinds lists them, and /healthz and
+// /metricz report liveness and the obs registry.
 package fabric
 
 import (
@@ -9,29 +24,21 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sweep"
-	"repro/internal/sweep/work"
 )
 
 // Server is the sweep service node: it answers figure/table requests
-// over HTTP from its backend (computing on miss, once per distinct job
-// however many clients ask concurrently), exposes the backend to remote
-// peers, and coordinates worker machines.
+// over HTTP from its point cache, computing on miss once per distinct
+// job however many clients ask concurrently.
 type Server struct {
-	backend sweep.Backend
+	cache   *sweep.Cache
 	workers int // local compute pool width; <= 0 selects GOMAXPROCS
 	reg     *obs.Registry
 	logf    func(format string, args ...any)
 
-	// dispatchTimeout bounds how long a request waits on worker
-	// machines before computing the remainder itself.
-	dispatchTimeout time.Duration
-
 	flights flightGroup
-	disp    *dispatcher
 }
 
 // ServerOption configures NewServer.
@@ -46,22 +53,13 @@ func WithRegistry(reg *obs.Registry) ServerOption { return func(s *Server) { s.r
 // WithLog sets the server's logger (Printf-shaped). Default: silent.
 func WithLog(f func(format string, args ...any)) ServerOption { return func(s *Server) { s.logf = f } }
 
-// WithLeaseTTL overrides the worker lease TTL (tests shrink it).
-func WithLeaseTTL(ttl time.Duration) ServerOption {
-	return func(s *Server) { s.disp = newDispatcher(nil, ttl) }
-}
-
-// NewServer builds a service node over backend (nil serves compute-only,
+// NewServer builds a service node over cache (nil serves compute-only,
 // with no cross-request memoization beyond singleflight).
-func NewServer(backend sweep.Backend, opts ...ServerOption) *Server {
-	s := &Server{backend: backend, dispatchTimeout: 30 * time.Minute}
+func NewServer(cache *sweep.Cache, opts ...ServerOption) *Server {
+	s := &Server{cache: cache}
 	for _, o := range opts {
 		o(s)
 	}
-	if s.disp == nil {
-		s.disp = newDispatcher(nil, 0)
-	}
-	s.disp.reg = s.obs()
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
@@ -82,10 +80,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metricz", s.handleMetricz)
 	mux.HandleFunc("GET /v1/kinds", s.handleKinds)
 	mux.HandleFunc("GET /v1/kind/{name}", s.handleKind)
-	mux.HandleFunc("GET /v1/cache", s.handleCacheGet)
-	mux.HandleFunc("PUT /v1/cache", s.handleCachePut)
-	mux.HandleFunc("POST /v1/work/lease", s.handleLease)
-	mux.HandleFunc("POST /v1/work/complete", s.handleComplete)
 	return mux
 }
 
@@ -185,7 +179,7 @@ func etagMatches(header, etag string) bool {
 // flightOutcome is what one singleflight execution hands every caller.
 type flightOutcome struct {
 	res      *sweep.Result
-	executed int // points not served by the backend
+	executed int // points not served by the cache
 }
 
 func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
@@ -225,7 +219,7 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 		flightKey = string(spec)
 	}
 	v, err, shared := s.flights.do(flightKey, func() (any, error) {
-		return s.compute(norm, flightKey)
+		return s.compute(norm)
 	})
 	if shared {
 		reg.Counter("fabric.coalesced").Inc()
@@ -274,181 +268,12 @@ func writeResult(w http.ResponseWriter, res *sweep.Result, format string) error 
 	}
 }
 
-// compute produces a job's result, preferring worker machines when any
-// are attached and falling back to the in-process pool.
-func (s *Server) compute(norm sweep.Job, id string) (*flightOutcome, error) {
-	if s.backend != nil && s.disp.workersPresent() {
-		return s.dispatchCompute(norm, id)
-	}
-	runner := sweep.Runner{Workers: s.workers, Cache: s.backend, Obs: s.reg}
+// compute produces a job's result through the in-process pool.
+func (s *Server) compute(norm sweep.Job) (*flightOutcome, error) {
+	runner := sweep.Runner{Workers: s.workers, Cache: s.cache, Obs: s.reg}
 	res, st, err := runner.Run(norm)
 	if err != nil {
 		return nil, err
 	}
 	return &flightOutcome{res: res, executed: st.Executed}, nil
-}
-
-// dispatchCompute shards a job across attached workers: expand, serve
-// what the backend already has, lease the remainder out, and compute
-// locally whatever comes back unfinished (worker loss, uncacheable
-// items). Assembly is by item index, so the distributed result is
-// byte-identical to a local run.
-func (s *Server) dispatchCompute(norm sweep.Job, id string) (*flightOutcome, error) {
-	reg := s.obs()
-	e, err := sweep.ExpandJob(norm)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]sweep.Point, len(e.Items))
-	have := make([]bool, len(e.Items))
-	var indices []int
-	var keys []string
-	for i, it := range e.Items {
-		if it.Key == "" {
-			continue // uncacheable: cannot travel through the backend
-		}
-		if p, ok := s.backend.Get(it.Key); ok {
-			points[i], have[i] = p, true
-			continue
-		}
-		indices = append(indices, i)
-		keys = append(keys, it.Key)
-	}
-	executed := 0 // points the initial backend pass could not serve
-	for i := range e.Items {
-		if !have[i] {
-			executed++
-		}
-	}
-
-	dj := s.disp.submit(id, e.Job, indices, keys)
-	if len(indices) > 0 {
-		deadline := time.Now().Add(s.dispatchTimeout)
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-	wait:
-		for {
-			select {
-			case <-dj.done:
-				break wait
-			case now := <-tick.C:
-				s.disp.requeueExpired(now)
-				if !s.disp.workersPresent() || now.After(deadline) {
-					// Workers left (or the job stalled): withdraw what
-					// nobody leased and finish it ourselves.
-					s.disp.abandon(dj)
-					break wait
-				}
-			}
-		}
-		// Harvest worker results from the shared backend.
-		for _, i := range indices {
-			if p, ok := s.backend.Get(e.Items[i].Key); ok {
-				points[i], have[i] = p, true
-			}
-		}
-	}
-
-	// Whatever remains — uncacheable items, lost leases, backend
-	// hiccups — computes in the local pool.
-	var local []int
-	for i := range e.Items {
-		if !have[i] {
-			local = append(local, i)
-		}
-	}
-	if len(local) > 0 {
-		reg.Counter("fabric.dispatch.local").Add(uint64(len(local)))
-		sims := 0
-		pool := work.Pool{Workers: s.workers}
-		pool.MapWorkers(len(local), func(_, li int) {
-			i := local[li]
-			p := e.Items[i].Compute()
-			points[i] = p
-			if key := e.Items[i].Key; key != "" && s.backend != nil {
-				_ = s.backend.Put(key, p)
-			}
-		})
-		for _, i := range local {
-			if e.Items[i].Sim {
-				sims++
-			}
-		}
-		reg.Counter("sweep.points.executed").Add(uint64(sims))
-	}
-	res, err := e.Assemble(points)
-	if err != nil {
-		return nil, err
-	}
-	return &flightOutcome{res: res, executed: executed}, nil
-}
-
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	if s.backend == nil {
-		http.Error(w, "no backend", http.StatusServiceUnavailable)
-		return
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		http.Error(w, "missing key", http.StatusBadRequest)
-		return
-	}
-	p, ok := s.backend.Get(key)
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(CacheEntry{Key: key, Point: p})
-}
-
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	if s.backend == nil {
-		http.Error(w, "no backend", http.StatusServiceUnavailable)
-		return
-	}
-	var e CacheEntry
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxEntryBytes)).Decode(&e); err != nil {
-		http.Error(w, "bad cache entry: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if e.Key == "" {
-		http.Error(w, "missing key", http.StatusBadRequest)
-		return
-	}
-	if err := s.backend.Put(e.Key, e.Point); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad lease request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	l := s.disp.lease(r.Context(), req.Max, time.Duration(req.WaitMs)*time.Millisecond)
-	if l == nil {
-		w.WriteHeader(http.StatusNoContent) // no work inside the wait
-		return
-	}
-	s.logf("fabric: leased %d points of %s to %s", len(l.Indices), l.Job.Kind, req.Worker)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(l)
-}
-
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad complete request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.LeaseID == "" {
-		http.Error(w, "missing leaseId", http.StatusBadRequest)
-		return
-	}
-	s.disp.complete(req.LeaseID, req.Done)
-	w.WriteHeader(http.StatusNoContent)
 }

@@ -14,7 +14,7 @@ type flight struct {
 
 // flightGroup deduplicates concurrent identical computations (classic
 // singleflight, dependency-free). Completed flights are forgotten
-// immediately: result freshness is the backend cache's job, the group
+// immediately: result freshness is the point cache's job, the group
 // only collapses concurrency.
 type flightGroup struct {
 	mu sync.Mutex

@@ -56,6 +56,22 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 }
 
+// TestSharedParamsAcrossKinds is the regression test for one -params
+// map handed to several pattern jobs: barrier's canonical variant must
+// not leak into the caller's map, where rcu would reject it.
+func TestSharedParamsAcrossKinds(t *testing.T) {
+	params := map[string]string{ParamWait: "mwait"}
+	for _, kind := range []sweep.Kind{KindBarrier, KindRCU, KindCombLock} {
+		j := sweep.Job{Kind: kind, Topo: "small", Params: params}
+		if _, err := j.Normalize(); err != nil {
+			t.Fatalf("%s with the shared params map: %v", kind, err)
+		}
+	}
+	if len(params) != 1 || params[ParamWait] != "mwait" {
+		t.Fatalf("Normalize wrote into the caller's params map: %v", params)
+	}
+}
+
 func TestNormalizeRejects(t *testing.T) {
 	topo := noc.Small()
 	cases := []struct {

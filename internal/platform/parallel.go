@@ -545,9 +545,3 @@ func (s *System) TickParallel() {
 	}
 	s.parDrive(func() { s.par.ctl.stop = true })
 }
-
-// RunParallel advances n cycles through the partitioned kernel,
-// fast-forwarding idle spans like Run (on a partitioned system Run
-// already dispatches here; on a sequential one this is Run). Results
-// are bit-identical to the sequential kernel for any partition count.
-func (s *System) RunParallel(n int) { s.Run(n) }

@@ -216,7 +216,7 @@ func TestPartitionResolution(t *testing.T) {
 		a.Tick()
 		b.TickParallel()
 	}
-	a.RunParallel(100)
+	a.Run(100)
 	b.Run(100)
 	requireSameActivity(t, int(a.Clock.Now()), a.Snapshot(), b.Snapshot())
 }

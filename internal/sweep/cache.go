@@ -23,9 +23,9 @@ import (
 // change) starts from a cold cache automatically — correctness never
 // depends on remembering to bump cacheVersion, which remains for
 // invalidating the on-disk format itself. The tradeoff: differently
-// built binaries (e.g. cmd/histogram vs cmd/sweep) keep separate cache
+// built binaries (e.g. cmd/sweep vs a test binary) keep separate cache
 // namespaces, and superseded entries linger until the directory is
-// deleted. When the binary cannot be read the fingerprint is empty and
+// deleted or garbage-collected. When the binary cannot be read the fingerprint is empty and
 // the engine disables caching for the process (see Job.keyPrefix) —
 // running fresh is always safe, serving stale never is.
 var binaryFingerprint = sync.OnceValue(func() string {
@@ -44,6 +44,13 @@ var binaryFingerprint = sync.OnceValue(func() string {
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 })
+
+// Fingerprint returns the running binary's content hash — the fragment
+// every cache key is prefixed with, so a rebuilt simulator starts cold
+// automatically. Empty when the binary cannot be read, in which case
+// point caching is disabled for the process (and the fabric serves
+// without ETags: identity cannot be guaranteed across rebuilds).
+func Fingerprint() string { return binaryFingerprint() }
 
 // Cache memoizes finished sweep points on disk, keyed by the
 // content hash of everything that determines a point's value (simulator
@@ -64,9 +71,6 @@ type Cache struct {
 	touches *touchLog
 }
 
-// Name identifies the disk backend (sweep.Backend).
-func (c *Cache) Name() string { return "disk" }
-
 // WithRegistry returns a view of the cache whose traffic counters go to
 // reg instead of the process-wide default registry. The underlying
 // directory (and so the entries) is shared with the receiver.
@@ -74,16 +78,6 @@ func (c *Cache) WithRegistry(reg *obs.Registry) *Cache {
 	cc := *c
 	cc.reg = reg
 	return &cc
-}
-
-// ScopedBackend implements RegistryScoped for the runner: a view
-// reporting into reg, unless the cache's registry was already set
-// explicitly (an explicit scope wins over the run's).
-func (c *Cache) ScopedBackend(reg *obs.Registry) Backend {
-	if c.reg != nil {
-		return c
-	}
-	return c.WithRegistry(reg)
 }
 
 // obs returns the registry this cache's counters belong to.

@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// Shared plumbing for the cmd/ front ends, so the six tools parse flags
-// and report progress identically.
+// Shared plumbing for the cmd/ front ends: flag parsing, cache
+// resolution, error reporting and progress output.
 
 // ParseBins parses a comma-separated list of positive bin counts.
 func ParseBins(s string) ([]int, error) {
@@ -164,37 +164,6 @@ func InspectCacheFlag(v string) (*Cache, error) {
 func Fatal(tool string, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %s\n", tool, strings.TrimPrefix(err.Error(), "sweep: "))
 	os.Exit(2)
-}
-
-// RunTool is the shared tail of the legacy per-figure front ends: open
-// the cache per flag (default off), run the single job, and print the
-// result as an aligned table or CSV.
-func RunTool(tool string, job Job, workers int, cacheFlag string, csv bool) {
-	cache, err := OpenCacheFlag(cacheFlag, false)
-	if err != nil {
-		Fatal(tool, err)
-	}
-	r := Runner{Workers: workers, Cache: cache}
-	res, _, err := r.Run(job)
-	if err != nil {
-		Fatal(tool, err)
-	}
-	if csv {
-		fmt.Print(res.CSV())
-		return
-	}
-	fmt.Print(res.Table().String())
-}
-
-// ExplicitWindow maps a legacy tool's -warmup/-measure flag value to the
-// Job convention. Those flags always carry explicit values (their flag
-// defaults are the per-kind defaults), so 0 means a literal zero-cycle
-// window, which Job encodes as negative.
-func ExplicitWindow(v int) int {
-	if v == 0 {
-		return -1
-	}
-	return v
 }
 
 // ProgressPrinter returns a Progress callback that live-updates a status

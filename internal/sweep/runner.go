@@ -69,12 +69,8 @@ type RunStats struct {
 type Runner struct {
 	// Workers is the concurrency; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Cache memoizes points when non-nil: the local disk *Cache, a
-	// fabric remote or tiered backend, or any other Backend
-	// implementation. (A typed-nil *Cache is treated as nil, so call
-	// sites that conditionally open a disk cache need no interface
-	// gymnastics.)
-	Cache Backend
+	// Cache memoizes points on disk when non-nil.
+	Cache *Cache
 	// Progress, when non-nil, is invoked once per finished point. It may
 	// be called concurrently from worker goroutines.
 	Progress func(Event)
@@ -109,11 +105,10 @@ func (r *Runner) RunAll(jobs []Job) ([]*Result, RunStats, error) {
 		reg = obs.Default()
 	}
 	cache := r.Cache
-	if nilBackend(cache) {
-		cache = nil
-	}
-	if rs, ok := cache.(RegistryScoped); ok {
-		cache = rs.ScopedBackend(reg)
+	if cache != nil && cache.reg == nil {
+		// An explicitly scoped cache keeps its registry; otherwise its
+		// traffic counters follow the run's.
+		cache = cache.WithRegistry(reg)
 	}
 	before := reg.Snapshot()
 	start := time.Now()

@@ -18,9 +18,8 @@ import (
 // workload, so they double as the reference implementations for the open
 // API.
 
-// Per-kind default simulation parameters, shared by the scenarios'
-// Normalize and the legacy cmd tools' flag defaults so the two paths
-// cannot drift.
+// Per-kind default simulation parameters, applied by the scenarios'
+// Normalize when a job leaves the window (or matrix size) at zero.
 const (
 	DefaultHistWarmup, DefaultHistMeasure       = 3000, 10000 // fig3, fig4
 	DefaultFig5Warmup, DefaultFig5Measure       = 4000, 20000

@@ -21,6 +21,7 @@ package sweep
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -175,6 +176,11 @@ func (j Job) Normalize() (Job, error) {
 	}
 	if len(j.Params) == 0 {
 		j.Params = nil
+	} else {
+		// Scenarios canonicalize parameters in place; the clone keeps a
+		// map shared by several jobs (one -params flag, many kinds) from
+		// carrying one scenario's keys into the next.
+		j.Params = maps.Clone(j.Params)
 	}
 	j, err := sc.Normalize(j, topo)
 	if err != nil {

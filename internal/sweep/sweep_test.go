@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -74,12 +76,6 @@ func TestLiteralZeroWindow(t *testing.T) {
 	}
 }
 
-func TestExplicitWindow(t *testing.T) {
-	if ExplicitWindow(0) != -1 || ExplicitWindow(3000) != 3000 || ExplicitWindow(-2) != -2 {
-		t.Error("ExplicitWindow mapping wrong")
-	}
-}
-
 func TestNormalizeErrors(t *testing.T) {
 	if _, err := (Job{Kind: "nope"}).Normalize(); err == nil {
 		t.Error("unknown kind accepted")
@@ -114,20 +110,90 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheCorruptEntryIsMiss pins the cache's read contract for damaged
+// entries: whatever is on disk under a key — a truncated gzip stream, a
+// well-formed gzip entry for another key, or plain garbage — reads as a
+// miss, and the next run recomputes the point and rewrites the entry.
 func TestCacheCorruptEntryIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
+	gz := func(b []byte) []byte {
+		var zb bytes.Buffer
+		zw := gzip.NewWriter(&zb)
+		zw.Write(b)
+		zw.Close()
+		return zb.Bytes()
 	}
-	if err := c.Put("k", Point{X: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(c.path("k"), []byte("{garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get("k"); ok {
-		t.Error("corrupt entry served as hit")
+	job := Job{Kind: Fig3, Topo: "small", Bins: []int{1}, Warmup: testWarmup, Measure: testMeasure}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(valid []byte) []byte
+	}{
+		{"truncated gzip", func(valid []byte) []byte {
+			z := gz(valid)
+			return z[:len(z)/2]
+		}},
+		{"gzip key mismatch", func(valid []byte) []byte {
+			var e entry
+			if err := json.Unmarshal(valid, &e); err != nil {
+				t.Fatal(err)
+			}
+			e.Key += "-other"
+			b, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return gz(b)
+		}},
+		{"garbage", func([]byte) []byte { return []byte("{garbage") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := Runner{Workers: 2, Cache: c}
+			cold, _, err := r.Run(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			norm, err := job.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, units, err := expand(norm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range units {
+				valid, err := os.ReadFile(c.path(u.key))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(c.path(u.key), tc.corrupt(valid), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := c.Get(u.key); ok {
+					t.Fatalf("corrupt entry %s served as hit", u.key)
+				}
+			}
+			again, st, err := r.Run(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.CacheHits != 0 || st.Executed != len(units) {
+				t.Fatalf("rerun over corrupt entries: %d hits, %d executed; want 0 and %d",
+					st.CacheHits, st.Executed, len(units))
+			}
+			for _, u := range units {
+				if _, ok := c.Get(u.key); !ok {
+					t.Fatalf("entry %s not rewritten by the rerun", u.key)
+				}
+			}
+			cb, _ := cold.JSON()
+			ab, _ := again.JSON()
+			if !bytes.Equal(cb, ab) {
+				t.Fatal("recomputed result differs from the cold run")
+			}
+		})
 	}
 }
 

@@ -78,8 +78,8 @@ func benchTickKernels(b *testing.B, build func(noc.Topology, int) *platform.Syst
 		}{
 			{"kernel=sched", 0, func(sys *platform.System, n int) { sys.Run(n) }},
 			{"kernel=dense", 0, func(sys *platform.System, n int) { sys.RunDense(n) }},
-			{"kernel=par", platform.PartitionsAuto, func(sys *platform.System, n int) { sys.RunParallel(n) }},
-			{"kernel=par8", 8, func(sys *platform.System, n int) { sys.RunParallel(n) }},
+			{"kernel=par", platform.PartitionsAuto, func(sys *platform.System, n int) { sys.Run(n) }},
+			{"kernel=par8", 8, func(sys *platform.System, n int) { sys.Run(n) }},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", tc.name, k.name), func(b *testing.B) {
 				if testing.Short() && k.name == "kernel=dense" && tc.topo.NumCores() >= 1024 {

@@ -38,23 +38,15 @@
 //
 // # Sweep service
 //
-// The sweep engine also runs as a network service. Its point store is
-// a pluggable SweepBackend — the disk SweepCache, a SweepRemote
-// speaking another node's HTTP cache API (with retries and graceful
-// degradation to local compute), or a SweepTiered combining both. A
-// SweepServer (CLI: `sweep serve`) answers GET /v1/kind/{name}
-// requests byte-identically to the CLI emitters, deduplicates
-// concurrent identical requests through singleflight, serves
-// conditional requests via cache-key ETags, and coordinates
-// SweepWorkers (CLI: `sweep worker -join`) that lease grid points and
-// publish results through the shared backend. Distribution never
-// changes results — the same deterministic assembly runs everywhere.
+// The sweep engine also runs as an HTTP service over its disk
+// SweepCache. A SweepServer (CLI: `sweep serve`) answers
+// GET /v1/kind/{name} requests byte-identically to the CLI emitters,
+// computes each missing job once however many clients ask concurrently
+// (singleflight), and serves conditional requests via cache-key ETags.
+// The cache is filled only by the server's own computations.
 package lrscwait
 
 import (
-	"net/http"
-	"time"
-
 	"repro/internal/area"
 	"repro/internal/bus"
 	"repro/internal/energy"
@@ -348,11 +340,7 @@ type (
 	// ColibriQueues × Backoffs) as parsed from the cmd/sweep -grid and
 	// -policy flags.
 	SweepGrid = sweep.Grid
-	// SweepBackend is the pluggable point-store seam: anything with
-	// content-keyed Get/Put (SweepCache, SweepRemote, SweepTiered or a
-	// custom store) plugs into SweepRunner.Cache and the service fabric.
-	SweepBackend = sweep.Backend
-	// SweepCache memoizes finished points on disk (the "disk" backend).
+	// SweepCache memoizes finished points on disk (SweepRunner.Cache).
 	SweepCache = sweep.Cache
 	// SweepCacheStats is a cache directory's disk footprint plus this
 	// process's hit/miss traffic (SweepCache.Stats).
@@ -470,47 +458,24 @@ func RunSweeps(jobs ...SweepJob) ([]*SweepResult, SweepStats, error) {
 	return r.RunAll(jobs)
 }
 
-// Service fabric re-exports: the layer that turns the sweep engine into
-// a network service (`sweep serve` / `sweep worker` are the CLI front
-// ends). A SweepServer answers figure/table requests over HTTP from a
-// warm SweepBackend, computes misses through the engine exactly once
+// Service re-exports: the HTTP front end of the sweep engine (`sweep
+// serve` is the CLI). A SweepServer answers figure/table requests from a
+// warm SweepCache, computes misses through the engine exactly once
 // regardless of concurrent identical requests (singleflight), and
-// coordinates remote SweepWorkers that lease grid points and publish
-// results through the shared backend. SweepRemote speaks the server's
-// cache API as a Backend (capped-backoff retries; an unreachable peer
-// degrades to computing locally, never an error), and SweepTiered
-// layers a local disk cache in front of it with write-through and
-// read-back-fill. Everything stays deterministic: HTTP responses are
-// byte-identical to the CLI emitters, and work distribution never
-// changes results — only where points are computed.
+// answers conditional re-fetches with 304. HTTP responses are
+// byte-identical to the CLI emitters.
 type (
-	// SweepServer is the HTTP service node: results API, shared cache
-	// surface, worker coordinator.
+	// SweepServer is the HTTP service node.
 	SweepServer = fabric.Server
 	// SweepServerOption configures NewSweepServer.
 	SweepServerOption = fabric.ServerOption
-	// SweepRemote is the client-side Backend speaking a SweepServer's
-	// cache API.
-	SweepRemote = fabric.Remote
-	// SweepRemoteOption configures NewSweepRemote.
-	SweepRemoteOption = fabric.RemoteOption
-	// SweepTiered is disk-in-front-of-remote: local hits are free,
-	// remote hits back-fill the local layer, Puts write through both.
-	SweepTiered = fabric.Tiered
-	// SweepWorker is the `sweep worker -join` loop: lease points from a
-	// coordinator, compute them locally, publish through the shared
-	// backend.
-	SweepWorker = fabric.Worker
-	// SweepCacheEntry is the wire form of one cached point (the
-	// server's /v1/cache GET/PUT payload).
-	SweepCacheEntry = fabric.CacheEntry
 )
 
-// NewSweepServer builds a service node over backend (nil serves
+// NewSweepServer builds a service node over cache (nil serves
 // uncached, computing every request). Serve its Handler with
 // net/http.
-func NewSweepServer(backend SweepBackend, opts ...SweepServerOption) *SweepServer {
-	return fabric.NewServer(backend, opts...)
+func NewSweepServer(cache *SweepCache, opts ...SweepServerOption) *SweepServer {
+	return fabric.NewServer(cache, opts...)
 }
 
 // SweepServerWorkers sets the server's local compute pool width
@@ -521,31 +486,8 @@ func SweepServerWorkers(n int) SweepServerOption { return fabric.WithWorkers(n) 
 // instead of ObsDefault.
 func SweepServerRegistry(reg *ObsRegistry) SweepServerOption { return fabric.WithRegistry(reg) }
 
-// SweepServerLog routes request/dispatch log lines to f (Printf-shaped).
+// SweepServerLog routes request log lines to f (Printf-shaped).
 func SweepServerLog(f func(format string, args ...any)) SweepServerOption { return fabric.WithLog(f) }
-
-// SweepServerLeaseTTL overrides the worker-lease expiry (default 5m):
-// a leased point not completed within the TTL is re-queued.
-func SweepServerLeaseTTL(ttl time.Duration) SweepServerOption { return fabric.WithLeaseTTL(ttl) }
-
-// NewSweepRemote returns the Backend speaking the cache API of the
-// SweepServer at base ("http://host:8080").
-func NewSweepRemote(base string, opts ...SweepRemoteOption) *SweepRemote {
-	return fabric.NewRemote(base, opts...)
-}
-
-// SweepRemoteHTTPClient overrides the remote backend's HTTP client.
-func SweepRemoteHTTPClient(c *http.Client) SweepRemoteOption { return fabric.RemoteClient(c) }
-
-// SweepRemoteRetries sets the per-request retry budget: attempts total
-// tries with capped exponential backoff starting at backoff.
-func SweepRemoteRetries(attempts int, backoff time.Duration) SweepRemoteOption {
-	return fabric.RemoteRetries(attempts, backoff)
-}
-
-// NewSweepTiered layers local (usually a *SweepCache) in front of
-// remote (usually a *SweepRemote).
-func NewSweepTiered(local, remote SweepBackend) *SweepTiered { return fabric.NewTiered(local, remote) }
 
 // Observability re-exports: the process-wide metrics registry every
 // layer reports into. Kernel counters ("kernel.*") are published by
