@@ -130,7 +130,7 @@ func main() {
 	matN := flag.Int("matn", 0, "fig 5 matrix dimension (0 = default 128)")
 	ms := flag.Bool("ms", false, "fig 6 on the Michael-Scott queue instead of the FAA ring")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-	partitions := flag.Int("partitions", 0, "kernel partitions per simulated system: 0 = sequential kernel, -1 = adaptive (measure per-cycle work, then shard if it pays), N = N OS threads per point (results are bit-identical for any value)")
+	partitions := flag.Int("partitions", 0, "kernel partitions per simulated system: 0 = sequential kernel, -1 = one per processor (min(GOMAXPROCS, tiles)), N = N OS threads per point (results are bit-identical for any value)")
 	cacheFlag := flag.String("cache", "", "point cache: directory, \"on\" (default, ~/.cache/lrscwait) or \"off\"")
 	cacheGC := flag.Bool("cache-gc", false, "evict least-recently-used point-cache entries down to -cache-max-bytes (standalone with no selection, or after the run)")
 	cacheMaxBytes := flag.String("cache-max-bytes", "", "cache size budget for -cache-gc: bytes, optionally suffixed K/M/G/T (e.g. 512M)")
@@ -149,6 +149,9 @@ func main() {
 		// Flag parsing stops at the first non-flag, so a stray word would
 		// silently drop every flag after it.
 		fail("unexpected argument %q", flag.Arg(0))
+	}
+	if err := sweep.CheckPartitions(*partitions); err != nil {
+		fail("%v", err)
 	}
 
 	// The scenario registry builds its systems internally, so the

@@ -41,9 +41,10 @@ func runSweep(t *testing.T, args ...string) (int, string) {
 }
 
 // TestExitStatus pins the exit-2 usage errors — a stray positional
-// argument, including the retired worker subcommand, and the retired
-// -backend flag — and that one -params value can serve several pattern
-// kinds, each seeing only the caller's parameters.
+// argument, including the retired worker subcommand, the retired
+// -backend flag, and a -partitions value below -1 — and that one
+// -params value can serve several pattern kinds, each seeing only the
+// caller's parameters.
 func TestExitStatus(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -54,6 +55,10 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"worker", "-join", "http://x"}, 2, `sweep: unexpected argument "worker"`},
 		{[]string{"-backend", "disk"}, 2, "flag provided but not defined: -backend"},
 		{[]string{"serve", "extra"}, 2, `sweep serve: unexpected argument "extra"`},
+		{[]string{"-partitions", "-5"}, 2, "sweep: bad -partitions -5"},
+		// The unlistenable address makes a missing check fail fast
+		// instead of serving forever.
+		{[]string{"serve", "-partitions", "-5", "-addr", "nope"}, 2, "sweep serve: bad -partitions -5"},
 		{[]string{"-kind", "barrier,rcu", "-topo", "small", "-params", "wait=mwait",
 			"-cache", "off", "-quiet"}, 0, ""},
 	} {

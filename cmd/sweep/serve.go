@@ -64,6 +64,9 @@ func runServe(args []string) {
 	if fs.NArg() > 0 {
 		sweep.Fatal("sweep serve", fmt.Errorf("unexpected argument %q", fs.Arg(0)))
 	}
+	if err := sweep.CheckPartitions(*partitions); err != nil {
+		sweep.Fatal("sweep serve", err)
+	}
 	platform.SetDefaultPartitions(*partitions)
 
 	cache, err := sweep.OpenCacheFlag(*cacheFlag, true)

@@ -35,10 +35,6 @@ type obsTotals struct {
 func (s *System) collectTotals() obsTotals {
 	t := obsTotals{kernel: s.Kernel}
 	if s.par != nil {
-		// heapCarry* preserve a pre-migration sequential scheduler's
-		// totals on adaptively partitioned systems (zero otherwise).
-		t.heapPushes = s.heapCarryPushes
-		t.heapPops = s.heapCarryPops
 		for _, p := range s.par.parts {
 			t.heapPushes += p.slots.HeapPushes
 			t.heapPops += p.slots.HeapPops

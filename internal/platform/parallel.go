@@ -65,16 +65,6 @@ type partition struct {
 	cSlots, cRouters, cBanks, cDeliv, cParks int
 }
 
-// FusedCyclesEnabled gates the partitioned kernel's single-barrier fast
-// path: when every cross-tile router (link arbiters and group routers,
-// both networks) is clean at a cycle boundary, the next cycle provably
-// moves nothing through those classes, so the three intermediate phase
-// barriers are skipped and the whole cycle synchronizes once. Results
-// are bit-identical either way (the parity suite runs both settings);
-// the knob exists so benchmarks can measure the batching effect. Toggle
-// only while no partitioned system is mid-run.
-var FusedCyclesEnabled = true
-
 // parKernel is the partitioned-kernel state hanging off a System.
 type parKernel struct {
 	nParts  int
@@ -84,9 +74,13 @@ type parKernel struct {
 	// then the run driver's decide hook.
 	cycleEnd func()
 	decide   func()
-	// fused marks the next cycle as a single-barrier fused cycle. Written
-	// only by the cycle leader inside a barrier action (or with no
-	// workers running), read by workers after the barrier releases them.
+	// fused marks the next cycle as a single-barrier fused cycle: when
+	// every cross-tile router (link arbiters and group routers, both
+	// networks) is clean at a cycle boundary, the next cycle provably
+	// moves nothing through those classes, so the three intermediate
+	// phase barriers are skipped (see parCycleWorker). Written only by
+	// the cycle leader inside a barrier action (or with no workers
+	// running), read by workers after the barrier releases them.
 	fused bool
 	// fusedCycles counts executed fused cycles. It lives here and not in
 	// KernelStats because it describes the host-side execution strategy,
@@ -122,22 +116,14 @@ func (s *System) FusedCycles() uint64 {
 // BankReq/CoreResp wake hooks to the owning partition's sets. Tiles are
 // split into contiguous blocks; cores and banks follow their tile, so
 // every same-tile data path (core→tile router→bank and back) stays
-// inside one partition.
-//
-// Called either at construction (s.slots == nil: every core starts
-// runnable, nothing is in flight) or mid-run by the adaptive
-// PartitionsAuto calibration, in which case the sequential scheduler's
-// live state — runnable set, pending timed wakes, halted counts, bank
-// and delivery membership, fabric dirty bits (carried by Shard) — is
-// migrated into the per-partition structures at a cycle boundary, so
-// the simulated state evolution is unchanged.
+// inside one partition. Called only by New, before any cycle runs:
+// every core starts runnable and nothing is in flight.
 func (s *System) initPartitions(nParts int) {
 	topo := s.Cfg.Topo
 	nTiles := topo.NumTiles()
 	cpt, bpt := topo.CoresPerTile, topo.BanksPerTile
 	par := &parKernel{nParts: nParts, barrier: engine.NewBarrier(nParts)}
 	tilePart := make([]int, nTiles)
-	migrate := s.slots != nil
 	for pi := 0; pi < nParts; pi++ {
 		t0, t1 := pi*nTiles/nParts, (pi+1)*nTiles/nParts
 		p := &partition{
@@ -152,17 +138,7 @@ func (s *System) initPartitions(nParts int) {
 			tilePart[t] = pi
 		}
 		for c := p.core0; c < p.core1; c++ {
-			switch {
-			case !migrate:
-				p.slots.Wake(c)
-			case s.slots.Runnable(c):
-				p.slots.Wake(c)
-			case s.Cores[c].Halted():
-				// Parked halted core: already counted by the sequential
-				// kernel's parkCore, so it joins as halted rather than
-				// being re-parked.
-				p.nHalted++
-			}
+			p.slots.Wake(c)
 		}
 		for b := p.bank0; b < p.bank1; b++ {
 			b := b
@@ -174,38 +150,11 @@ func (s *System) initPartitions(nParts int) {
 		}
 		par.parts = append(par.parts, p)
 	}
-	if migrate {
-		// Move the live scheduler state into the owning partitions.
-		s.slots.PendingWakes(func(id int, at engine.Cycle) {
-			par.parts[tilePart[id/cpt]].slots.WakeAt(id, at)
-		})
-		for _, b := range s.banks.AppendTo(nil) {
-			par.parts[tilePart[b/bpt]].banks.Add(b)
-		}
-		for _, c := range s.deliv.AppendTo(nil) {
-			par.parts[tilePart[c/cpt]].deliv.Add(c)
-		}
-		// Carry the wake-heap totals so obs counters stay monotonic;
-		// migrated entries are moves, not new pushes.
-		s.heapCarryPushes = s.slots.HeapPushes
-		s.heapCarryPops = s.slots.HeapPops
-		for _, p := range par.parts {
-			p.slots.HeapPushes = 0
-		}
-		s.slots = nil
-		s.banks = engine.ActiveSet{}
-		s.deliv = engine.ActiveSet{}
-		s.nHalted = 0
-	}
 	s.Fabric.Shard(nParts, func(t int) int { return tilePart[t] })
-	// Trivially true at construction; after a migration the carried
-	// dirty bits decide.
-	par.fused = FusedCyclesEnabled && s.Fabric.QuietCrossTile()
+	par.fused = s.Fabric.QuietCrossTile()
 	par.cycleEnd = func() {
 		s.parFold()
-		if par.decide != nil {
-			par.decide()
-		}
+		par.decide()
 	}
 	s.lastPubParts = make([]KernelStats, nParts)
 	s.par = par
@@ -315,7 +264,7 @@ func (s *System) parFold() {
 	}
 	// Decide here — with every partition quiesced — whether the next
 	// cycle can fuse its four barriers into this one.
-	par.fused = FusedCyclesEnabled && s.Fabric.QuietCrossTile()
+	par.fused = s.Fabric.QuietCrossTile()
 }
 
 // parCycleWorker runs one partition's side of successive cycles until
@@ -340,8 +289,8 @@ func (s *System) parFold() {
 // Every other FIFO pair is partition-local, and tile-ingress pushes from
 // the previous cycle's group ticks were sealed by that cycle's end
 // barrier — so the state evolution is bit-identical to the four-barrier
-// schedule, which the parity suite checks with the knob in both
-// positions.
+// schedule, which the parity suite checks on runs that mix both kinds
+// of cycle.
 func (s *System) parCycleWorker(p *partition) {
 	par := s.par
 	bar := par.barrier
@@ -397,9 +346,6 @@ func (s *System) parDrive(decide func()) {
 	par := s.par
 	par.ctl.stop = false
 	par.decide = decide
-	// Refresh the fuse decision single-threaded (the knob may have been
-	// toggled since the last fold computed it).
-	par.fused = FusedCyclesEnabled && s.Fabric.QuietCrossTile()
 	var wg sync.WaitGroup
 	for i := 1; i < par.nParts; i++ {
 		p := par.parts[i]

@@ -178,8 +178,9 @@ func TestParallelRunUntilHaltedParity(t *testing.T) {
 }
 
 // TestPartitionResolution pins the partition-count plumbing: clamping to
-// the tile count, the process-default escape hatch, the auto setting,
-// and the sequential fallbacks of the parallel entry points.
+// the tile count, the process-default escape hatch, the auto setting
+// (one partition per processor, fixed at construction), and the
+// sequential fallbacks of the parallel entry points.
 func TestPartitionResolution(t *testing.T) {
 	registerKernelTestPolicy()
 	topo := noc.Small() // 4 tiles
@@ -193,13 +194,20 @@ func TestPartitionResolution(t *testing.T) {
 	if got := mk(7).Partitions(); got != topo.NumTiles() {
 		t.Fatalf("partitions=7 resolved to %d, want clamp to %d tiles", got, topo.NumTiles())
 	}
-	// PartitionsAuto starts on the sequential kernel and only adopts
-	// partitions after measuring per-cycle work (see the adaptive tests).
-	if got := mk(platform.PartitionsAuto).Partitions(); got != 1 {
-		t.Fatalf("PartitionsAuto resolved to %d at construction, want 1 (calibrating)", got)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	// GOMAXPROCS=8 is clamped to the 4 tiles.
+	for _, c := range []struct{ procs, want int }{{1, 1}, {4, 4}, {8, 4}} {
+		runtime.GOMAXPROCS(c.procs)
+		if got := mk(platform.PartitionsAuto).Partitions(); got != c.want {
+			t.Fatalf("PartitionsAuto at GOMAXPROCS=%d resolved to %d, want %d", c.procs, got, c.want)
+		}
+	}
+	defer platform.SetDefaultPartitions(0)
+	platform.SetDefaultPartitions(platform.PartitionsAuto)
+	if got := mk(0).Partitions(); got != topo.NumTiles() {
+		t.Fatalf("process default PartitionsAuto at GOMAXPROCS=8 resolved to %d, want %d", got, topo.NumTiles())
 	}
 	platform.SetDefaultPartitions(2)
-	defer platform.SetDefaultPartitions(0)
 	if got := mk(0).Partitions(); got != 2 {
 		t.Fatalf("process default 2 resolved to %d", got)
 	}
@@ -219,103 +227,6 @@ func TestPartitionResolution(t *testing.T) {
 	a.Run(100)
 	b.Run(100)
 	requireSameActivity(t, int(a.Clock.Now()), a.Snapshot(), b.Snapshot())
-}
-
-// autoKnobs tightens the adaptive-partitioning thresholds and raises
-// GOMAXPROCS so the small test topology can justify partitions, and
-// restores everything on cleanup.
-func autoKnobs(t *testing.T, workPerPart, calTicks int) {
-	t.Helper()
-	prevProcs := runtime.GOMAXPROCS(4)
-	prevWork, prevTicks := platform.AutoWorkPerPartition, platform.AutoCalibrationTicks
-	platform.AutoWorkPerPartition, platform.AutoCalibrationTicks = workPerPart, calTicks
-	t.Cleanup(func() {
-		runtime.GOMAXPROCS(prevProcs)
-		platform.AutoWorkPerPartition, platform.AutoCalibrationTicks = prevWork, prevTicks
-	})
-}
-
-// TestPartitionsAutoAdaptive pins the adaptive PartitionsAuto path: the
-// system starts sequential, migrates to the partitioned kernel once the
-// measured per-cycle work justifies it, and stays cycle-for-cycle
-// identical to a sequential reference through the migration — including
-// the aggregate kernel stats and the published wake-heap totals.
-func TestPartitionsAutoAdaptive(t *testing.T) {
-	autoKnobs(t, 4, 64)
-	topo := noc.Small()
-	progFor := parityPrograms(platform.PolicyPlain, topo, 8)
-	seq := platform.New(platform.Config{Topo: topo, Policy: platform.PolicyPlain}, progFor)
-	aut := platform.New(platform.Config{Topo: topo, Policy: platform.PolicyPlain,
-		Partitions: platform.PartitionsAuto}, progFor)
-	if got := aut.Partitions(); got != 1 {
-		t.Fatalf("auto system born with %d partitions, want 1 (calibrating)", got)
-	}
-	for cycle := 0; cycle <= 1200; cycle++ {
-		requireSameActivity(t, cycle, seq.Snapshot(), aut.Snapshot())
-		seq.Tick()
-		aut.Tick()
-	}
-	if got := aut.Partitions(); got <= 1 {
-		t.Fatalf("auto system never adopted partitions on a hot workload (still %d)", got)
-	}
-	requireSameKernelStats(t, seq, aut)
-	requireSameMemory(t, seq, aut)
-
-	// The wake-heap obs totals must survive the migration exactly: the
-	// pre-migration pushes are carried, the migrated entries are moves.
-	seqReg, autReg := obs.NewRegistry(), obs.NewRegistry()
-	seq.PublishObs(seqReg)
-	aut.PublishObs(autReg)
-	seqSnap, autSnap := seqReg.Snapshot(), autReg.Snapshot()
-	for _, name := range []string{"kernel.heap.pushes", "kernel.heap.pops"} {
-		if sv, av := seqSnap.Counter(name), autSnap.Counter(name); sv != av {
-			t.Fatalf("%s: seq=%d auto=%d", name, sv, av)
-		}
-	}
-}
-
-// TestPartitionsAutoRunParity drives the adaptive system through the
-// run loops, so the migration happens inside a Run window and the
-// remaining budget is handed to the partitioned driver.
-func TestPartitionsAutoRunParity(t *testing.T) {
-	autoKnobs(t, 4, 64)
-	topo := noc.Small()
-	progFor := parityPrograms(platform.PolicyPlain, topo, 8)
-	cfg := platform.Config{Topo: topo, Policy: platform.PolicyPlain}
-	seq := platform.New(cfg, progFor)
-	cfg.Partitions = platform.PartitionsAuto
-	aut := platform.New(cfg, progFor)
-	seqHalted := seq.RunUntilHalted(300000)
-	autHalted := aut.RunUntilHalted(300000)
-	if seqHalted != autHalted || !seqHalted {
-		t.Fatalf("halted: seq=%v auto=%v", seqHalted, autHalted)
-	}
-	if aut.Partitions() <= 1 {
-		t.Fatal("auto system never adopted partitions inside RunUntilHalted")
-	}
-	if seq.Clock.Now() != aut.Clock.Now() {
-		t.Fatalf("clock: seq=%d auto=%d", seq.Clock.Now(), aut.Clock.Now())
-	}
-	requireSameActivity(t, int(seq.Clock.Now()), seq.Snapshot(), aut.Snapshot())
-	requireSameKernelStats(t, seq, aut)
-	requireSameMemory(t, seq, aut)
-}
-
-// TestPartitionsAutoStaysSequentialWhenCold pins the other half of the
-// contract: under the default thresholds a small system's trickle of
-// per-cycle work cannot justify a partition, so the auto system never
-// pays for sharding it cannot amortize.
-func TestPartitionsAutoStaysSequentialWhenCold(t *testing.T) {
-	prevProcs := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prevProcs)
-	topo := noc.Small()
-	progFor := parityPrograms(platform.PolicyPlain, topo, 8)
-	aut := platform.New(platform.Config{Topo: topo, Policy: platform.PolicyPlain,
-		Partitions: platform.PartitionsAuto}, progFor)
-	aut.Run(2 * platform.AutoCalibrationTicks)
-	if got := aut.Partitions(); got != 1 {
-		t.Fatalf("16-core system adopted %d partitions under default thresholds, want 1", got)
-	}
 }
 
 // epochCrossingProgram alternates same-tile AMO spans (every cross-tile
@@ -357,47 +268,39 @@ func epochCrossingProgram(core int) *isa.Program {
 // TestParallelParityEpochCrossing pins the fused-cycle fast path across
 // epoch transitions: a workload that repeatedly enters and leaves
 // cross-tile-quiet spans must stay cycle-for-cycle identical to the
-// sequential kernel with barrier fusing on and off, for every partition
-// count — and the fused counter must prove both modes actually ran.
+// sequential kernel for every partition count — and the fused counter
+// must prove that both fused and four-barrier cycles actually ran.
 func TestParallelParityEpochCrossing(t *testing.T) {
-	orig := platform.FusedCyclesEnabled
-	defer func() { platform.FusedCyclesEnabled = orig }()
-	for _, enabled := range []bool{true, false} {
-		for _, parts := range parityPartCounts() {
-			enabled, parts := enabled, parts
-			t.Run(fmt.Sprintf("fused=%v/p%d", enabled, parts), func(t *testing.T) {
-				platform.FusedCyclesEnabled = enabled
-				cfg := platform.SmallConfig(platform.PolicyPlain)
-				seq := platform.New(cfg, epochCrossingProgram)
-				cfg.Partitions = parts
-				par := platform.New(cfg, epochCrossingProgram)
-				const maxCycles = 6000
-				cycle := 0
-				for ; cycle < maxCycles; cycle++ {
-					requireSameActivity(t, cycle, seq.Snapshot(), par.Snapshot())
-					if seq.AllHalted() {
-						break
-					}
-					seq.Tick()
-					par.TickParallel()
+	for _, parts := range parityPartCounts() {
+		parts := parts
+		t.Run(fmt.Sprintf("fused=true/p%d", parts), func(t *testing.T) {
+			cfg := platform.SmallConfig(platform.PolicyPlain)
+			seq := platform.New(cfg, epochCrossingProgram)
+			cfg.Partitions = parts
+			par := platform.New(cfg, epochCrossingProgram)
+			const maxCycles = 6000
+			cycle := 0
+			for ; cycle < maxCycles; cycle++ {
+				requireSameActivity(t, cycle, seq.Snapshot(), par.Snapshot())
+				if seq.AllHalted() {
+					break
 				}
-				if !seq.AllHalted() || !par.AllHalted() {
-					t.Fatalf("workload did not halt within %d cycles", maxCycles)
-				}
-				requireSameKernelStats(t, seq, par)
-				requireSameMemory(t, seq, par)
-				fused := par.FusedCycles()
-				if !enabled && fused != 0 {
-					t.Fatalf("fusing disabled but %d cycles fused", fused)
-				}
-				if enabled && fused == 0 && par.Partitions() > 1 {
-					t.Fatal("fusing enabled but no cycle fused")
-				}
-				if enabled && fused >= uint64(cycle) {
-					t.Fatalf("all %d cycles fused; the cross-tile bursts should have forced full barriers", cycle)
-				}
-			})
-		}
+				seq.Tick()
+				par.TickParallel()
+			}
+			if !seq.AllHalted() || !par.AllHalted() {
+				t.Fatalf("workload did not halt within %d cycles", maxCycles)
+			}
+			requireSameKernelStats(t, seq, par)
+			requireSameMemory(t, seq, par)
+			fused := par.FusedCycles()
+			if fused == 0 && par.Partitions() > 1 {
+				t.Fatal("no cycle fused on a quiet-span workload")
+			}
+			if fused >= uint64(cycle) {
+				t.Fatalf("all %d cycles fused; the cross-tile bursts should have forced full barriers", cycle)
+			}
+		})
 	}
 }
 
@@ -406,9 +309,6 @@ func TestParallelParityEpochCrossing(t *testing.T) {
 // through fused spans, checking the leader's per-window fuse decisions
 // against the sequential kernel's clock, snapshot and stats.
 func TestParallelRunEpochCrossing(t *testing.T) {
-	orig := platform.FusedCyclesEnabled
-	defer func() { platform.FusedCyclesEnabled = orig }()
-	platform.FusedCyclesEnabled = true
 	for _, parts := range parityPartCounts() {
 		parts := parts
 		t.Run(fmt.Sprintf("p%d", parts), func(t *testing.T) {

@@ -40,55 +40,15 @@ type Config struct {
 	// Results are bit-identical for every value — this is purely a
 	// wall-clock knob. 0 uses the process-wide default (see
 	// SetDefaultPartitions; initially 1, the sequential kernel),
-	// PartitionsAuto adapts to the measured per-cycle work (see its
-	// doc), and any other value is clamped to [1, number of tiles].
+	// PartitionsAuto gives one partition per processor, and any other
+	// value is clamped to [1, number of tiles]. The count is fixed when
+	// New builds the system.
 	Partitions int
 }
 
-// PartitionsAuto picks the partition count adaptively from measured
-// work: the system starts on the sequential kernel, and after
-// AutoCalibrationTicks executed cycles the kernel computes the average
-// per-cycle component activity from its own KernelStats and migrates —
-// mid-run, bit-identically — to ceil(work/AutoWorkPerPartition)
-// partitions, capped at min(GOMAXPROCS, tiles). Small or cold systems
-// therefore never pay sharding overhead they cannot amortize, while
-// busy ones shard in proportion to what each cycle actually ticks.
+// PartitionsAuto gives one partition per processor the Go runtime may
+// use: min(GOMAXPROCS, tiles), resolved once when New builds the system.
 const PartitionsAuto = -1
-
-// AutoCalibrationTicks is how many executed cycles PartitionsAuto
-// observes before deciding a partition count (fast-forwarded cycles do
-// not count — they carry no per-cycle work to measure).
-var AutoCalibrationTicks = 256
-
-// AutoWorkPerPartition is the average number of per-cycle component
-// visits (core slots + routers + banks + deliveries, from KernelStats)
-// PartitionsAuto requires to justify each additional partition. Below
-// it, a partition's share of a cycle is cheaper than the barriers that
-// would coordinate it.
-var AutoWorkPerPartition = 128
-
-// autoCal tracks a PartitionsAuto system's calibration phase: run
-// sequentially for remaining more executed ticks, then decide.
-type autoCal struct {
-	remaining int
-}
-
-// chooseAutoPartitions maps measured average per-cycle work to a
-// partition count: one partition per AutoWorkPerPartition units of
-// work, at least 1, at most min(procs, tiles).
-func chooseAutoPartitions(avgWork, procs, tiles int) int {
-	p := avgWork / AutoWorkPerPartition
-	if p > procs {
-		p = procs
-	}
-	if p > tiles {
-		p = tiles
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
 
 // defaultPartitions is the Partitions value used when Config.Partitions
 // is zero. CLIs set it once at startup from their -partitions flag, so
@@ -98,21 +58,18 @@ var defaultPartitions atomic.Int32
 
 // SetDefaultPartitions sets the process-wide default partition count
 // applied when Config.Partitions is zero: 1 (or 0) selects the
-// sequential kernel, PartitionsAuto selects adaptively from measured
-// work (see PartitionsAuto), larger values are clamped per topology.
+// sequential kernel, PartitionsAuto one partition per processor, larger
+// values are clamped per topology.
 func SetDefaultPartitions(p int) { defaultPartitions.Store(int32(p)) }
 
 // resolvePartitions maps a Config.Partitions value to the effective
-// partition count for a topology with the given tile count, plus
-// whether the adaptive calibration phase should run (PartitionsAuto on
-// a host and topology where sharding could ever pay: auto systems
-// start sequential and migrate after calibration).
-func resolvePartitions(p, tiles int) (parts int, auto bool) {
+// partition count for a topology with the given tile count.
+func resolvePartitions(p, tiles int) int {
 	if p == 0 {
 		p = int(defaultPartitions.Load())
 	}
 	if p == PartitionsAuto {
-		return 1, runtime.GOMAXPROCS(0) > 1 && tiles > 1
+		p = runtime.GOMAXPROCS(0)
 	}
 	if p < 1 {
 		p = 1
@@ -120,7 +77,7 @@ func resolvePartitions(p, tiles int) (parts int, auto bool) {
 	if p > tiles {
 		p = tiles
 	}
-	return p, false
+	return p
 }
 
 // MemPoolConfig returns the paper's 256-core evaluation configuration with
@@ -198,15 +155,6 @@ type System struct {
 	// Config.Partitions exceeds one; nil for the sequential kernel. See
 	// parallel.go.
 	par *parKernel
-	// auto, when non-nil, marks a PartitionsAuto system still in its
-	// sequential calibration phase; Tick decrements it and migrates to
-	// the partitioned kernel once enough work has been observed.
-	auto *autoCal
-	// heapCarryPushes/Pops preserve the sequential scheduler's wake-heap
-	// totals across an adaptive migration, so the obs counters stay
-	// monotonic (per-partition schedulers restart at zero).
-	heapCarryPushes uint64
-	heapCarryPops   uint64
 	// pubMu serializes PublishObs (its delta bookkeeping in lastPub must
 	// not interleave when concurrent runs publish the same System, or
 	// different Systems publish into one registry from racing sweeps).
@@ -289,13 +237,9 @@ func New(cfg Config, progFor ProgramFor) *System {
 	// NewFabric.) With more than one partition the same hooks target the
 	// owning partition's sets instead — every BankReq/CoreResp producer
 	// is partition-local, so those sets need no atomics.
-	p, auto := resolvePartitions(cfg.Partitions, topo.NumTiles())
-	if p > 1 {
+	if p := resolvePartitions(cfg.Partitions, topo.NumTiles()); p > 1 {
 		s.initPartitions(p)
 		return s
-	}
-	if auto {
-		s.auto = &autoCal{remaining: AutoCalibrationTicks}
 	}
 	s.slots = engine.NewScheduler(nCores)
 	for c := 0; c < nCores; c++ {
@@ -387,28 +331,6 @@ func (s *System) Tick() {
 	s.Kernel.BanksTicked += uint64(len(s.bankScratch))
 	s.Kernel.DelivTicked += uint64(len(s.delScratch))
 	s.Clock.Advance()
-	if s.auto != nil {
-		s.autoTick()
-	}
-}
-
-// autoTick advances a PartitionsAuto system's calibration: once enough
-// cycles have executed, compute the average per-cycle work the kernel
-// actually did and migrate to the partition count it justifies. The
-// migration happens at a cycle boundary (the clock has just advanced),
-// where the partitioned kernel's state copy is exact, so results stay
-// bit-identical — only the host-side execution strategy changes.
-func (s *System) autoTick() {
-	s.auto.remaining--
-	if s.auto.remaining > 0 {
-		return
-	}
-	s.auto = nil
-	k := &s.Kernel
-	avgWork := int((k.SlotsTicked + k.RoutersTicked + k.BanksTicked + k.DelivTicked) / k.Ticks)
-	if p := chooseAutoPartitions(avgWork, runtime.GOMAXPROCS(0), s.Cfg.Topo.NumTiles()); p > 1 {
-		s.initPartitions(p)
-	}
 }
 
 // parkCore takes a quiescent core off the schedule, registering its
@@ -478,12 +400,6 @@ func (s *System) Run(n int) {
 			s.fastForward(w)
 		}
 		s.Tick()
-		if s.par != nil {
-			// Adaptive calibration migrated to the partitioned kernel
-			// mid-window: hand it the rest.
-			s.runPar(int(target - s.Clock.Now()))
-			return
-		}
 	}
 }
 
@@ -525,11 +441,6 @@ func (s *System) RunUntilHalted(maxCycles int) bool {
 			s.fastForward(w)
 		}
 		s.Tick()
-		if s.par != nil {
-			// Adaptive calibration migrated to the partitioned kernel
-			// mid-run: hand it the remaining budget.
-			return s.runParUntilHalted(int(target - s.Clock.Now()))
-		}
 	}
 	s.fastForward(target)
 	return s.nHalted == len(s.Cores)

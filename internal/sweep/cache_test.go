@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -176,4 +177,44 @@ func TestConcurrentRunnersIsolatedRegistries(t *testing.T) {
 			t.Fatalf("run %d: Metrics sweep.points.total = %d, want %d", i, got, r.st.Units)
 		}
 	}
+}
+
+// fuzzKey is the key FuzzCacheEntry reads. It has the shape expand
+// builds, with a fixed fingerprint so the checked-in valid seed entries
+// hit in every build.
+const fuzzKey = "v4|0123456789abcdef|fig3|ct4|bt16|tg4|g1|w200|m400|lrsc|bins4"
+
+// FuzzCacheEntry writes arbitrary bytes as the on-disk entry for
+// fuzzKey: Get must never panic, and must report either a miss or a
+// point whose re-encoded entry carries the same key. The seed corpus in
+// testdata/fuzz/FuzzCacheEntry holds the three TestCacheCorruptEntryIsMiss
+// cases (truncated gzip, gzip key mismatch, garbage) plus one valid
+// plain and one valid gzip entry.
+func FuzzCacheEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := OpenCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = c.WithRegistry(obs.NewRegistry())
+		path := c.path(fuzzKey)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, ok := c.Get(fuzzKey)
+		if !ok {
+			return
+		}
+		b, err := json.Marshal(entry{Key: fuzzKey, Point: p})
+		if err != nil {
+			t.Fatalf("hit does not re-encode: %v", err)
+		}
+		var e entry
+		if err := json.Unmarshal(b, &e); err != nil || e.Key != fuzzKey {
+			t.Fatalf("re-encoded hit carries key %q (err %v), want %q", e.Key, err, fuzzKey)
+		}
+	})
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/platform"
 )
 
 // Shared plumbing for the cmd/ front ends: flag parsing, cache
@@ -122,6 +124,15 @@ func ParseParams(s string) (map[string]string, error) {
 		params[k] = v
 	}
 	return params, nil
+}
+
+// CheckPartitions validates a -partitions flag value: 0 (sequential),
+// platform.PartitionsAuto or a positive partition count.
+func CheckPartitions(p int) error {
+	if p < platform.PartitionsAuto {
+		return fmt.Errorf("bad -partitions %d (want 0 = sequential, -1 = one per processor, or N > 0)", p)
+	}
+	return nil
 }
 
 // OpenCacheFlag resolves a -cache flag value: "off"/"none" disables

@@ -65,9 +65,9 @@ func hotSystem(topo noc.Topology, parts int) *platform.System {
 
 // benchTickKernels measures simulated cycles/second of the scheduled,
 // dense and partitioned loops on the same prebuilt workload. The par
-// variants shard the system across OS threads (auto = adaptive: measure
-// per-cycle work over a calibration window, then shard only if it pays;
-// par8 pins eight partitions for cross-host comparability) —
+// variants shard the system across OS threads (par = one partition per
+// processor, min(GOMAXPROCS, tiles); par8 pins eight partitions for
+// cross-host comparability) —
 // bit-identical results, so the only interesting number is the rate.
 func benchTickKernels(b *testing.B, build func(noc.Topology, int) *platform.System, cyclesPerIter int) {
 	for _, tc := range kernelTopos() {
@@ -131,26 +131,22 @@ func quietSystem(topo noc.Topology, parts int) *platform.System {
 }
 
 // BenchmarkTickQuietSpan isolates the epoch-batching win: a fully busy
-// machine whose traffic never crosses a tile boundary. With fusing on,
-// the partitioned kernel issues one barrier per cycle instead of four;
-// the delta between fused=on and fused=off is pure synchronisation
-// overhead (on a 1-CPU host it shows up as reduced par8 overhead rather
-// than speedup over sched).
+// machine whose traffic never crosses a tile boundary, so the
+// partitioned kernel issues one barrier per cycle instead of four. The
+// delta between sched and par8 is what the fused cycles leave of the
+// synchronisation overhead (on a 1-CPU host it shows up as par8
+// overhead rather than speedup over sched).
 func BenchmarkTickQuietSpan(b *testing.B) {
 	const cyclesPerIter = 2000
-	defer func(prev bool) { platform.FusedCyclesEnabled = prev }(platform.FusedCyclesEnabled)
 	for _, tc := range kernelTopos() {
 		for _, k := range []struct {
 			name  string
 			parts int
-			fused bool
 		}{
-			{"kernel=sched", 0, true},
-			{"kernel=par8/fused=on", 8, true},
-			{"kernel=par8/fused=off", 8, false},
+			{"kernel=sched", 0},
+			{"kernel=par8", 8},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", tc.name, k.name), func(b *testing.B) {
-				platform.FusedCyclesEnabled = k.fused
 				sys := quietSystem(tc.topo, k.parts)
 				sys.Run(500)
 				b.ResetTimer()

@@ -92,12 +92,9 @@ type (
 )
 
 // PartitionsAuto, as Config.Partitions or SetDefaultPartitions value,
-// shards each system adaptively: it starts on the sequential kernel,
-// measures the average per-cycle component activity, and migrates
-// mid-run to as many partitions (capped at min(GOMAXPROCS, tiles)) as
-// the measured work can amortize — cold or small systems stay
-// sequential. Any partition count produces bit-identical results; it
-// is purely a wall-clock knob.
+// gives each system one partition per processor, min(GOMAXPROCS,
+// tiles), chosen once when the system is built. Any partition count
+// produces bit-identical results; it is purely a wall-clock knob.
 const PartitionsAuto = platform.PartitionsAuto
 
 // SetDefaultPartitions sets the process-wide default kernel partition
