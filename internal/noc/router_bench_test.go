@@ -1,63 +1,100 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bus"
 	"repro/internal/engine"
 )
 
-// BenchmarkRouterTick measures one router crossbar pass under two
-// occupancy regimes: "dense" (every input holds a routable flit — a
-// contended tile router under a hot kernel) and "sparse" (one occupied
-// input among many — the common case for link arbiters most cycles).
-// Both must run at 0 allocs/op: the heads/route caches inside Tick are
-// pre-sized at construction.
+// BenchmarkRouterTick measures one router crossbar pass for the MemPool
+// router shapes under two occupancy regimes: "dense" (every input holds
+// a routable flit — a contended tile router under a hot kernel) and
+// "sparse" (one occupied input among many — the common case for link
+// arbiters most cycles). The shapes are the tile request router (4 cores
+// + group ingress → 16 banks + 4 group egresses), the tile response
+// router (16 banks + ingress → 4 cores + 4 egresses), a link arbiter (16
+// member tiles → one link) and a 4×4 toy. Every case must run at 0
+// allocs/op: the heads and candidate masks inside Tick are pre-sized at
+// construction.
 func BenchmarkRouterTick(b *testing.B) {
-	const ports = 4
-	build := func() (*engine.Clock, []*engine.FIFO[bus.Request], []*engine.FIFO[bus.Request], *Router[bus.Request]) {
+	shapes := []struct {
+		name    string
+		in, out int
+	}{
+		{"toy", 4, 4},
+		{"tile-req", 5, 20},
+		{"tile-resp", 17, 8},
+		{"link", 16, 1},
+	}
+	build := func(nIn, nOut int) (*engine.Clock, []*engine.FIFO[bus.Request], []*engine.FIFO[bus.Request], *Router[bus.Request]) {
 		var clock engine.Clock
-		in := make([]*engine.FIFO[bus.Request], ports)
-		out := make([]*engine.FIFO[bus.Request], ports)
+		in := make([]*engine.FIFO[bus.Request], nIn)
 		for i := range in {
 			in[i] = engine.NewFIFO[bus.Request](2, &clock)
-			out[i] = engine.NewFIFO[bus.Request](2, &clock)
 		}
-		route := func(r bus.Request) int { return int(r.Addr) % ports }
+		out := make([]*engine.FIFO[bus.Request], nOut)
+		for o := range out {
+			out[o] = engine.NewFIFO[bus.Request](2, &clock)
+		}
+		route := func(r bus.Request) int { return int(r.Addr) }
 		return &clock, in, out, NewRouter("bench", in, out, route)
 	}
 
-	b.Run("occ=dense", func(b *testing.B) {
-		clock, in, out, r := build()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range in {
-				in[j].Push(bus.Request{Op: bus.AmoAdd, Addr: uint32(j), Src: j})
+	for _, s := range shapes {
+		b.Run(fmt.Sprintf("shape=%s/occ=dense", s.name), func(b *testing.B) {
+			// Every input always holds a flit. Routes come from a fixed
+			// pseudo-random sequence, so heads contend for outputs and a
+			// loser keeps its head for the next tick, as in the fabric;
+			// each iteration refills the inputs that forwarded and drains
+			// the outputs.
+			clock, in, out, r := build(s.in, s.out)
+			var routes [256]uint32
+			for k := range routes {
+				routes[k] = ((uint32(k)*2654435761 + 12345) >> 16) % uint32(s.out)
 			}
-			clock.Advance()
-			if moved := r.Tick(); moved != ports {
-				b.Fatalf("moved %d flits, want %d", moved, ports)
+			next := 0
+			refill := func() {
+				for j := range in {
+					if in[j].Len() == 0 {
+						in[j].Push(bus.Request{Op: bus.AmoAdd, Addr: routes[next&255], Src: j})
+						next++
+					}
+				}
 			}
-			clock.Advance()
-			for j := range out {
-				out[j].Pop()
+			refill()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clock.Advance()
+				if moved := r.Tick(); moved == 0 {
+					b.Fatal("no flit moved")
+				}
+				refill()
+				clock.Advance()
+				for o := range out {
+					if out[o].Len() > 0 {
+						out[o].Pop()
+					}
+				}
 			}
-		}
-	})
+		})
 
-	b.Run("occ=sparse", func(b *testing.B) {
-		clock, in, out, r := build()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			in[0].Push(bus.Request{Op: bus.AmoAdd, Addr: uint32(i % ports), Src: 0})
-			clock.Advance()
-			if moved := r.Tick(); moved != 1 {
-				b.Fatalf("moved %d flits, want 1", moved)
+		b.Run(fmt.Sprintf("shape=%s/occ=sparse", s.name), func(b *testing.B) {
+			clock, in, out, r := build(s.in, s.out)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j, o := i%s.in, i%s.out
+				in[j].Push(bus.Request{Op: bus.AmoAdd, Addr: uint32(o), Src: j})
+				clock.Advance()
+				if moved := r.Tick(); moved != 1 {
+					b.Fatalf("moved %d flits, want 1", moved)
+				}
+				clock.Advance()
+				out[o].Pop()
 			}
-			clock.Advance()
-			out[i%ports].Pop()
-		}
-	})
+		})
+	}
 }
