@@ -67,11 +67,11 @@ type Fabric struct {
 
 // routeTables flattens every routing decision the fabric makes into
 // table lookups indexed by bank or core ID. The route closures run once
-// per occupied router input per cycle — the hottest call site in a
-// traffic-heavy simulation — and the topology arithmetic behind them
-// (BankOfAddr, TileOfBank, GroupOfBank and the response-side mirrors) is
-// all integer division. The tables cost a few bytes per bank/core and
-// turn each decision into one or two indexed loads.
+// per message per hop, when it first shows at the head of a router input,
+// and the topology arithmetic behind them (BankOfAddr, TileOfBank,
+// GroupOfBank and the response-side mirrors) is all integer division. The
+// tables cost a few bytes per bank/core and turn each decision into one or
+// two indexed loads.
 type routeTables struct {
 	// Address → bank: word-interleaved. Power-of-two bank counts (every
 	// built-in topology) use the mask; others keep the modulo.
@@ -217,7 +217,7 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		}
 		out = append(out, tileEgressReq[t]...)
 		tt := int32(t)
-		route := func(r bus.Request) int {
+		route := func(r *bus.Request) int {
 			bank := rt.bankOf(r.Addr)
 			if rt.tileOfBank[bank] == tt {
 				return int(rt.bankPortLocal[bank])
@@ -237,7 +237,7 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 			}
 			out := []*engine.FIFO[bus.Request]{linkReq[g][h]}
 			f.reqRouters = append(f.reqRouters,
-				NewRouter("link-req", in, out, func(bus.Request) int { return 0 }))
+				NewRouter("link-req", in, out, func(*bus.Request) int { return 0 }))
 		}
 	}
 
@@ -252,7 +252,7 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		for ti := 0; ti < topo.TilesPerGroup; ti++ {
 			out = append(out, tileIngressReq[g*topo.TilesPerGroup+ti])
 		}
-		route := func(r bus.Request) int {
+		route := func(r *bus.Request) int {
 			return int(rt.bankPortGroup[rt.bankOf(r.Addr)])
 		}
 		f.reqRouters = append(f.reqRouters, NewRouter("group-req", in, out, route))
@@ -273,7 +273,7 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		}
 		out = append(out, tileEgressResp[t]...)
 		tt := int32(t)
-		route := func(r bus.Response) int {
+		route := func(r *bus.Response) int {
 			if rt.tileOfCore[r.Dst] == tt {
 				return int(rt.corePortLocal[r.Dst])
 			}
@@ -290,7 +290,7 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 			}
 			out := []*engine.FIFO[bus.Response]{linkResp[g][h]}
 			f.respRouters = append(f.respRouters,
-				NewRouter("link-resp", in, out, func(bus.Response) int { return 0 }))
+				NewRouter("link-resp", in, out, func(*bus.Response) int { return 0 }))
 		}
 	}
 
@@ -304,16 +304,18 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		for ti := 0; ti < topo.TilesPerGroup; ti++ {
 			out = append(out, tileIngressResp[g*topo.TilesPerGroup+ti])
 		}
-		route := func(r bus.Response) int {
+		route := func(r *bus.Response) int {
 			return int(rt.corePortGroup[r.Dst])
 		}
 		f.respRouters = append(f.respRouters, NewRouter("group-resp", in, out, route))
 	}
 
 	// Wire the wake conditions: pushing into any input stage of a router
-	// marks that router dirty. Terminal FIFOs (BankReq, CoreResp) are no
-	// router's input; their consumers (banks, the platform's delivery
-	// loop) hang their own hooks off them.
+	// marks that router dirty, next to the occupancy bit the same push
+	// sets in the router (wired by NewRouter). The router leaves its
+	// dirty list once a tick clears its last occupancy bit. Terminal
+	// FIFOs (BankReq, CoreResp) are no router's input; their consumers
+	// (banks, the platform's delivery loop) hang their own hooks off them.
 	f.reqActive = engine.MakeActiveSet(len(f.reqRouters))
 	for i, r := range f.reqRouters {
 		i := i

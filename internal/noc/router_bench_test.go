@@ -9,15 +9,16 @@ import (
 )
 
 // BenchmarkRouterTick measures one router crossbar pass for the MemPool
-// router shapes under two occupancy regimes: "dense" (every input holds
-// a routable flit — a contended tile router under a hot kernel) and
+// router shapes under three occupancy regimes: "dense" (every input holds
+// a routable flit — a contended tile router under a hot kernel),
 // "sparse" (one occupied input among many — the common case for link
-// arbiters most cycles). The shapes are the tile request router (4 cores
-// + group ingress → 16 banks + 4 group egresses), the tile response
-// router (16 banks + ingress → 4 cores + 4 egresses), a link arbiter (16
-// member tiles → one link) and a 4×4 toy. Every case must run at 0
-// allocs/op: the heads and candidate masks inside Tick are pre-sized at
-// construction.
+// arbiters most cycles) and "blocked" (every input holds a head whose
+// output stays full — a router inside a saturated hot-spot tree). The
+// shapes are the tile request router (4 cores + group ingress → 16 banks
+// + 4 group egresses), the tile response router (16 banks + ingress → 4
+// cores + 4 egresses), a link arbiter (16 member tiles → one link) and a
+// 4×4 toy. Every case must run at 0 allocs/op: the candidate masks are
+// pre-sized at construction.
 func BenchmarkRouterTick(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -38,7 +39,7 @@ func BenchmarkRouterTick(b *testing.B) {
 		for o := range out {
 			out[o] = engine.NewFIFO[bus.Request](2, &clock)
 		}
-		route := func(r bus.Request) int { return int(r.Addr) }
+		route := func(r *bus.Request) int { return int(r.Addr) }
 		return &clock, in, out, NewRouter("bench", in, out, route)
 	}
 
@@ -77,6 +78,28 @@ func BenchmarkRouterTick(b *testing.B) {
 					if out[o].Len() > 0 {
 						out[o].Pop()
 					}
+				}
+			}
+		})
+
+		b.Run(fmt.Sprintf("shape=%s/occ=blocked", s.name), func(b *testing.B) {
+			// Every output is full and never drains; every input holds a
+			// visible head routed to one of them, so no tick moves a flit.
+			clock, in, out, r := build(s.in, s.out)
+			for o := range out {
+				for !out[o].Full() {
+					out[o].Push(bus.Request{})
+				}
+			}
+			for j := range in {
+				in[j].Push(bus.Request{Op: bus.AmoAdd, Addr: uint32(j % s.out), Src: j})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clock.Advance()
+				if moved := r.Tick(); moved != 0 {
+					b.Fatalf("moved %d flits into full outputs", moved)
 				}
 			}
 		})
