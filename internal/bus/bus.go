@@ -76,23 +76,28 @@ func (o Op) Writes() bool {
 }
 
 // Request is a core-to-memory message.
+//
+// The fields are ordered by size (ints, then uint32s, then bytes) so the
+// struct carries no padding: every fabric FIFO slot holds one, and every
+// hop copies one.
 type Request struct {
-	Op   Op
-	Addr uint32
-	// Data is the store/AMO operand, or the expected value for MWait.
-	Data uint32
 	// Src is the issuing core ID; responses are routed back to it.
 	Src int
-
 	// Colibri WakeUpRequest payload: the successor core to promote and
 	// the operation it is waiting with (LRWait or MWait, with SuccData
 	// holding MWait's expected value). Piggybacked so the controller can
 	// serve the successor without an extra round-trip; the controller
 	// learned these values when it enqueued the successor and forwarded
 	// them to the predecessor's Qnode in the SuccessorUpdate.
-	Succ     int
-	SuccOp   Op
+	Succ int
+
+	Addr uint32
+	// Data is the store/AMO operand, or the expected value for MWait.
+	Data     uint32
 	SuccData uint32
+
+	Op     Op
+	SuccOp Op
 }
 
 // RespKind distinguishes ordinary memory responses from Colibri's
@@ -108,24 +113,27 @@ const (
 	RespSuccUpdate
 )
 
-// Response is a memory-to-core message.
+// Response is a memory-to-core message, with its fields ordered by size
+// like Request's.
 type Response struct {
-	Kind RespKind
 	// Dst is the core (or its Qnode) the message is addressed to.
 	Dst int
-	Op  Op
+	// SuccessorUpdate payload (Kind == RespSuccUpdate): Succ, SuccData
+	// and SuccOp.
+	Succ int
+
 	// Addr echoes the request address (used by Qnodes and tracing).
-	Addr uint32
-	Data uint32
+	Addr     uint32
+	Data     uint32
+	SuccData uint32
+
+	Kind RespKind
+	Op   Op
 	// OK is the success flag: true for a granted LR/LRwait/Mwait or a
 	// successful SC/SCwait; false for a failed SC/SCwait or an LRwait/
 	// Mwait that was refused because the controller had no free queue.
-	OK bool
-
-	// SuccessorUpdate payload (Kind == RespSuccUpdate).
-	Succ     int
-	SuccOp   Op
-	SuccData uint32
+	OK     bool
+	SuccOp Op
 }
 
 func (r Request) String() string {

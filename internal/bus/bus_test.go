@@ -3,7 +3,22 @@ package bus
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestMessageSizes pins Request and Response to their unpadded sizes:
+// two ints, three uint32s and up to four byte-sized fields, 32 bytes on
+// 64-bit targets. Every fabric FIFO slot holds one message and every hop
+// copies one, so reordering a field into a padding hole shows up here.
+func TestMessageSizes(t *testing.T) {
+	want := 2*unsafe.Sizeof(int(0)) + 16
+	if got := unsafe.Sizeof(Request{}); got != want {
+		t.Errorf("unsafe.Sizeof(Request{}) = %d, want %d", got, want)
+	}
+	if got := unsafe.Sizeof(Response{}); got != want {
+		t.Errorf("unsafe.Sizeof(Response{}) = %d, want %d", got, want)
+	}
+}
 
 func TestOpPredicates(t *testing.T) {
 	amos := []Op{AmoAdd, AmoSwap, AmoAnd, AmoOr, AmoXor, AmoMin, AmoMax, AmoMinU, AmoMaxU}

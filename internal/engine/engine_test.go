@@ -190,3 +190,54 @@ func TestFIFOWrapAround(t *testing.T) {
 		t.Fatal("no values ever popped")
 	}
 }
+
+// TestNewFIFOsSlab fills and wraps the middle FIFO of a slab over and
+// over: its neighbours' rings, which sit right before and after it in the
+// slot slab, must never change, and every FIFO holds exactly capacity
+// entries.
+func TestNewFIFOsSlab(t *testing.T) {
+	const capacity = 3
+	var c Clock
+	fs := NewFIFOs[int](3, capacity, &c)
+	for i, f := range fs {
+		if f.Cap() != capacity || cap(f.buf) != capacity {
+			t.Fatalf("FIFO %d: Cap %d, ring cap %d, want %d", i, f.Cap(), cap(f.buf), capacity)
+		}
+	}
+	before, mid, after := fs[0], fs[1], fs[2]
+	before.Push(-1)
+	after.Push(-2)
+	next, want := 0, 0
+	for cycle := 0; cycle < 20; cycle++ {
+		c.Advance()
+		// Pop two of the three entries, so the head walks every offset
+		// of the ring, then refill to capacity.
+		for k := 0; k < 2; k++ {
+			if v, ok := mid.Pop(); ok {
+				if v != want {
+					t.Fatalf("cycle %d: pop = %d, want %d", cycle, v, want)
+				}
+				want++
+			}
+		}
+		for mid.Push(next) {
+			next++
+		}
+		if mid.Len() != capacity {
+			t.Fatalf("cycle %d: full FIFO holds %d, want %d", cycle, mid.Len(), capacity)
+		}
+	}
+	for _, nb := range []struct {
+		f    *FIFO[int]
+		want int
+	}{{before, -1}, {after, -2}} {
+		if v, ok := nb.f.Peek(); nb.f.Len() != 1 || !ok || v != nb.want {
+			t.Fatalf("neighbour holds %d entries, head %d,%v; want one entry %d", nb.f.Len(), v, ok, nb.want)
+		}
+		for i, e := range nb.f.buf[1:] {
+			if e != (entry[int]{}) {
+				t.Fatalf("neighbour slot %d = %+v, want untouched", i+1, e)
+			}
+		}
+	}
+}

@@ -8,7 +8,7 @@ import "sync/atomic"
 // popped at cycle t+1 at the earliest, which yields clean one-cycle-per-hop
 // pipelining across the whole system.
 //
-// The zero value is unusable; construct with NewFIFO.
+// The zero value is unusable; construct with NewFIFO or NewFIFOs.
 type FIFO[T any] struct {
 	buf   []entry[T]
 	head  int
@@ -31,10 +31,26 @@ type entry[T any] struct {
 
 // NewFIFO returns a FIFO with the given capacity attached to clock.
 func NewFIFO[T any](capacity int, clock *Clock) *FIFO[T] {
+	return NewFIFOs[T](1, capacity, clock)[0]
+}
+
+// NewFIFOs returns n FIFOs of the given capacity attached to clock, built
+// from two slabs: one allocation holds every header and one holds every
+// ring slot. Each ring is a three-index subslice of the slot slab, capped
+// at capacity, so no FIFO can grow into its neighbour's slots.
+func NewFIFOs[T any](n, capacity int, clock *Clock) []*FIFO[T] {
 	if capacity <= 0 {
 		panic("engine: FIFO capacity must be positive")
 	}
-	return &FIFO[T]{buf: make([]entry[T], capacity), clock: clock}
+	hdrs := make([]FIFO[T], n)
+	slots := make([]entry[T], n*capacity)
+	fs := make([]*FIFO[T], n)
+	for i := range hdrs {
+		lo := i * capacity
+		hdrs[i] = FIFO[T]{buf: slots[lo : lo+capacity : lo+capacity], clock: clock}
+		fs[i] = &hdrs[i]
+	}
+	return fs
 }
 
 // OnPush registers fn to run after every successful Push. The

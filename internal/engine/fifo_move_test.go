@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// tracked returns a FIFO whose push hook counts into pushes and whose
-// occupancy bit is bit 3 of occ.
-func tracked(capacity int, clock *Clock, occ *atomic.Uint64, pushes *int) *FIFO[int] {
-	f := NewFIFO[int](capacity, clock)
+// tracked wires f's push hook to count into pushes and its occupancy bit
+// to bit 3 of occ, and returns f.
+func tracked(f *FIFO[int], occ *atomic.Uint64, pushes *int) *FIFO[int] {
 	f.OnPush(func() { *pushes++ })
 	f.TrackOccupancy(occ, 3)
 	return f
@@ -61,7 +60,7 @@ func TestFIFOMoveHeadToFullDst(t *testing.T) {
 	var dstOcc atomic.Uint64
 	dstPushes := 0
 	src := NewFIFO[int](2, &c)
-	dst := tracked(1, &c, &dstOcc, &dstPushes)
+	dst := tracked(NewFIFO[int](1, &c), &dstOcc, &dstPushes)
 	src.Push(1)
 	dst.Push(2)
 	dstOcc.Store(0) // so a refused move that still set the bit shows
@@ -123,8 +122,8 @@ func TestFIFOMoveHeadToHooks(t *testing.T) {
 	var c Clock
 	var srcOcc, dstOcc atomic.Uint64
 	srcPushes, dstPushes := 0, 0
-	src := tracked(2, &c, &srcOcc, &srcPushes)
-	dst := tracked(2, &c, &dstOcc, &dstPushes)
+	src := tracked(NewFIFO[int](2, &c), &srcOcc, &srcPushes)
+	dst := tracked(NewFIFO[int](2, &c), &dstOcc, &dstPushes)
 	src.Push(1)
 	c.Advance()
 	srcOcc.Store(0) // a consumer clears the bit itself; the move must not set it
@@ -143,18 +142,42 @@ func TestFIFOMoveHeadToHooks(t *testing.T) {
 // moves with MoveHeadTo, the other with Peek + Push + Pop, and the pairs
 // must agree on every outcome, length and popped value.
 //
-// Each byte is one operation: bits 0-1 select push into src, move, pop
-// from dst or advance the clock; the rest is the pushed value.
+// The first byte picks the layout of the MoveHeadTo pair. With bit 0
+// clear, src (capacity 3) and dst (capacity 2) are separate FIFOs. With
+// bit 0 set, both have capacity 2 and are neighbours in one NewFIFOs slab
+// between two empty guard FIFOs, src first unless bit 1 is set; the
+// guards' rings must stay untouched. Each further byte is one operation:
+// bits 0-1 select push into src, move, pop from dst or advance the clock;
+// the rest is the pushed value.
 func FuzzFIFOMove(f *testing.F) {
-	f.Add([]byte{0, 3, 1, 3, 2, 0, 4, 8, 3, 1, 1, 3, 2, 1, 2})
-	f.Add([]byte{0, 4, 8, 12, 3, 1, 1, 1, 3, 2, 2, 2, 1, 3, 2})
+	f.Add([]byte{0, 0, 3, 1, 3, 2, 0, 4, 8, 3, 1, 1, 3, 2, 1, 2})
+	f.Add([]byte{0, 0, 4, 8, 12, 3, 1, 1, 1, 3, 2, 2, 2, 1, 3, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		layout := ops[0]
+		ops = ops[1:]
 		var c Clock
 		var gotOcc, wantOcc atomic.Uint64
 		gotPushes, wantPushes := 0, 0
-		gotSrc, wantSrc := NewFIFO[int](3, &c), NewFIFO[int](3, &c)
-		gotDst := tracked(2, &c, &gotOcc, &gotPushes)
-		wantDst := tracked(2, &c, &wantOcc, &wantPushes)
+		srcCap, dstCap := 3, 2
+		var gotSrc, gotDst *FIFO[int]
+		var guards []*FIFO[int]
+		if layout&1 != 0 {
+			srcCap = 2
+			slab := NewFIFOs[int](4, 2, &c)
+			gotSrc, gotDst = slab[1], slab[2]
+			if layout&2 != 0 {
+				gotSrc, gotDst = gotDst, gotSrc
+			}
+			guards = []*FIFO[int]{slab[0], slab[3]}
+		} else {
+			gotSrc, gotDst = NewFIFO[int](srcCap, &c), NewFIFO[int](dstCap, &c)
+		}
+		gotDst = tracked(gotDst, &gotOcc, &gotPushes)
+		wantSrc := NewFIFO[int](srcCap, &c)
+		wantDst := tracked(NewFIFO[int](dstCap, &c), &wantOcc, &wantPushes)
 		for k, op := range ops {
 			switch op & 3 {
 			case 0:
@@ -187,6 +210,16 @@ func FuzzFIFOMove(f *testing.F) {
 			if gotPushes != wantPushes || gotOcc.Load() != wantOcc.Load() {
 				t.Fatalf("op %d: dst hooks %d occ %x, want %d %x",
 					k, gotPushes, gotOcc.Load(), wantPushes, wantOcc.Load())
+			}
+			for _, g := range guards {
+				if g.Len() != 0 {
+					t.Fatalf("op %d: guard FIFO holds %d entries, want 0", k, g.Len())
+				}
+				for i, e := range g.buf {
+					if e != (entry[int]{}) {
+						t.Fatalf("op %d: guard slot %d = %+v, want untouched", k, i, e)
+					}
+				}
 			}
 		}
 	})

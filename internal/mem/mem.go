@@ -129,9 +129,17 @@ type Stats struct {
 }
 
 // Bank is one SPM bank.
+//
+// Its word storage materializes on the first Write or Poke: until then
+// every word reads as 0, exactly what zeroed storage would return, so a
+// bank the run never writes costs no storage at all. A bank allocates at
+// most once in its life, so steady-state ticking stays allocation-free.
 type Bank struct {
 	id       int
 	numBanks int
+	// capacity is the bank's size in words; words is nil until the first
+	// write and then holds exactly capacity words.
+	capacity int
 	words    []uint32
 	adapter  Adapter
 	// appender is the adapter's AppendAdapter view, resolved once at
@@ -154,7 +162,8 @@ type Bank struct {
 }
 
 // NewBank creates bank id of numBanks with wordsPerBank words of local
-// storage, attached to the given fabric FIFOs.
+// storage, attached to the given fabric FIFOs. The storage is allocated
+// on the first write.
 func NewBank(id, numBanks, wordsPerBank int, adapter Adapter,
 	in *engine.FIFO[bus.Request], out *engine.FIFO[bus.Response]) *Bank {
 	if adapter == nil {
@@ -163,7 +172,7 @@ func NewBank(id, numBanks, wordsPerBank int, adapter Adapter,
 	b := &Bank{
 		id:       id,
 		numBanks: numBanks,
-		words:    make([]uint32, wordsPerBank),
+		capacity: wordsPerBank,
 		adapter:  adapter,
 		In:       in,
 		Out:      out,
@@ -188,18 +197,18 @@ func (b *Bank) index(addr uint32) int {
 		panic(fmt.Sprintf("mem: address %#x routed to wrong bank %d", addr, b.id))
 	}
 	idx := int(word / uint32(b.numBanks))
-	if idx >= len(b.words) {
+	if idx >= b.capacity {
 		panic(fmt.Sprintf("mem: address %#x beyond bank %d capacity", addr, b.id))
 	}
 	return idx
 }
 
 // Read implements Storage.
-func (b *Bank) Read(addr uint32) uint32 { return b.words[b.index(addr)] }
+func (b *Bank) Read(addr uint32) uint32 { return b.Peek(addr) }
 
 // Write implements Storage.
 func (b *Bank) Write(addr uint32, v uint32) {
-	b.words[b.index(addr)] = v
+	b.Poke(addr, v)
 	b.Stats.Writes++
 }
 
@@ -208,10 +217,22 @@ func (b *Bank) Adapter() Adapter { return b.adapter }
 
 // Poke writes a word directly, bypassing timing — used to initialize data
 // sections before a run.
-func (b *Bank) Poke(addr uint32, v uint32) { b.words[b.index(addr)] = v }
+func (b *Bank) Poke(addr uint32, v uint32) {
+	i := b.index(addr)
+	if b.words == nil {
+		b.words = make([]uint32, b.capacity)
+	}
+	b.words[i] = v
+}
 
 // Peek reads a word directly, bypassing timing.
-func (b *Bank) Peek(addr uint32) uint32 { return b.words[b.index(addr)] }
+func (b *Bank) Peek(addr uint32) uint32 {
+	i := b.index(addr)
+	if b.words == nil {
+		return 0
+	}
+	return b.words[i]
+}
 
 // Tick processes one cycle: first drain one pending response, then (if no
 // backlog remains) accept and handle one request. Refusing to accept while

@@ -198,3 +198,106 @@ func TestPlainAdapterRefusesReservations(t *testing.T) {
 		t.Error("failed SC wrote memory")
 	}
 }
+
+// newUntouchedBank returns bank 1 of 4 with 64 words and no writes yet.
+func newUntouchedBank() *Bank {
+	clk := &engine.Clock{}
+	in := engine.NewFIFO[bus.Request](2, clk)
+	out := engine.NewFIFO[bus.Response](2, clk)
+	return NewBank(1, 4, 64, PlainAdapter{}, in, out)
+}
+
+func TestBankUntouchedReadsZero(t *testing.T) {
+	b := newUntouchedBank()
+	// Local words 0 and 63 (global words 1 and 1+4*63).
+	for _, addr := range []uint32{4, (1 + 4*63) * 4} {
+		if v := b.Read(addr); v != 0 {
+			t.Errorf("Read(%#x) = %d on an untouched bank, want 0", addr, v)
+		}
+		if v := b.Peek(addr); v != 0 {
+			t.Errorf("Peek(%#x) = %d on an untouched bank, want 0", addr, v)
+		}
+	}
+	if b.words != nil {
+		t.Error("reads allocated the bank's storage")
+	}
+}
+
+// TestBankUntouchedPanics checks that every access path asserts
+// alignment, bank and capacity before the storage exists, and that a
+// refused write does not allocate it.
+func TestBankUntouchedPanics(t *testing.T) {
+	addrs := []struct {
+		name string
+		addr uint32
+	}{
+		{"unaligned", 6},
+		{"wrong-bank", 0},            // word 0 belongs to bank 0
+		{"beyond-capacity", 4 * 257}, // bank 1's local word 64
+	}
+	access := []struct {
+		name string
+		do   func(*Bank, uint32)
+	}{
+		{"Read", func(b *Bank, a uint32) { b.Read(a) }},
+		{"Peek", func(b *Bank, a uint32) { b.Peek(a) }},
+		{"Write", func(b *Bank, a uint32) { b.Write(a, 1) }},
+		{"Poke", func(b *Bank, a uint32) { b.Poke(a, 1) }},
+	}
+	for _, a := range addrs {
+		for _, op := range access {
+			t.Run(a.name+"/"+op.name, func(t *testing.T) {
+				b := newUntouchedBank()
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s(%#x) did not panic", op.name, a.addr)
+						}
+					}()
+					op.do(b, a.addr)
+				}()
+				if b.words != nil || b.Stats.Writes != 0 {
+					t.Errorf("refused %s allocated storage or counted a write", op.name)
+				}
+			})
+		}
+	}
+}
+
+func TestBankStorageOnFirstWrite(t *testing.T) {
+	for _, first := range []string{"Write", "Poke"} {
+		t.Run(first, func(t *testing.T) {
+			b := newUntouchedBank()
+			if first == "Write" {
+				b.Write(4, 7)
+			} else {
+				b.Poke(4, 7)
+			}
+			if len(b.words) != 64 {
+				t.Fatalf("first %s left %d words of storage, want 64", first, len(b.words))
+			}
+			if b.Peek(4) != 7 || b.Read(36) != 0 {
+				t.Fatal("first write not stored, or other words not zero")
+			}
+			if n := testing.AllocsPerRun(10, func() { b.Write(4, 8) }); n != 0 {
+				t.Errorf("Write after the first allocates %.1f objects", n)
+			}
+			if n := testing.AllocsPerRun(10, func() { b.Poke(20, 9) }); n != 0 {
+				t.Errorf("Poke after the first allocates %.1f objects", n)
+			}
+		})
+	}
+}
+
+// TestBankWriteStats checks that Write counts committed writes and Poke,
+// which bypasses timing, does not — on the first write as on later ones.
+func TestBankWriteStats(t *testing.T) {
+	b := newUntouchedBank()
+	b.Write(4, 1)
+	b.Poke(4, 2)
+	b.Write(20, 3)
+	b.Write(4, 4)
+	if b.Stats.Writes != 3 {
+		t.Errorf("Stats.Writes = %d, want 3", b.Stats.Writes)
+	}
+}

@@ -146,59 +146,24 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 	nCores, nBanks := topo.NumCores(), topo.NumBanks()
 	nTiles, nGroups := topo.NumTiles(), topo.NumGroups
 
-	newReq := func(d int) *engine.FIFO[bus.Request] {
-		q := engine.NewFIFO[bus.Request](d, clock)
-		f.allReqFIFOs = append(f.allReqFIFOs, q)
-		return q
-	}
-	newResp := func(d int) *engine.FIFO[bus.Response] {
-		q := engine.NewFIFO[bus.Response](d, clock)
-		f.allRespFIFOs = append(f.allRespFIFOs, q)
-		return q
-	}
-
-	f.CoreReq = make([]*engine.FIFO[bus.Request], nCores)
-	f.CoreResp = make([]*engine.FIFO[bus.Response], nCores)
-	for c := 0; c < nCores; c++ {
-		f.CoreReq[c] = newReq(depth)
-		f.CoreResp[c] = newResp(depth)
-	}
-	f.BankReq = make([]*engine.FIFO[bus.Request], nBanks)
-	f.BankResp = make([]*engine.FIFO[bus.Response], nBanks)
-	for b := 0; b < nBanks; b++ {
-		f.BankReq[b] = newReq(depth)
-		f.BankResp[b] = newResp(depth)
-	}
-
-	// Per-tile egress FIFOs, one per destination group; per-tile ingress
-	// FIFO from its group router.
-	tileEgressReq := make([][]*engine.FIFO[bus.Request], nTiles)
-	tileEgressResp := make([][]*engine.FIFO[bus.Response], nTiles)
-	tileIngressReq := make([]*engine.FIFO[bus.Request], nTiles)
-	tileIngressResp := make([]*engine.FIFO[bus.Response], nTiles)
-	for t := 0; t < nTiles; t++ {
-		tileEgressReq[t] = make([]*engine.FIFO[bus.Request], nGroups)
-		tileEgressResp[t] = make([]*engine.FIFO[bus.Response], nGroups)
-		for g := 0; g < nGroups; g++ {
-			tileEgressReq[t][g] = newReq(depth)
-			tileEgressResp[t][g] = newResp(depth)
-		}
-		tileIngressReq[t] = newReq(depth)
-		tileIngressResp[t] = newResp(depth)
-	}
-
-	// Inter-group links (ordered pairs, g != h) and intra-group merge
-	// links (g == g).
-	linkReq := make([][]*engine.FIFO[bus.Request], nGroups)
-	linkResp := make([][]*engine.FIFO[bus.Response], nGroups)
-	for g := 0; g < nGroups; g++ {
-		linkReq[g] = make([]*engine.FIFO[bus.Request], nGroups)
-		linkResp[g] = make([]*engine.FIFO[bus.Response], nGroups)
-		for h := 0; h < nGroups; h++ {
-			linkReq[g][h] = newReq(depth)
-			linkResp[g][h] = newResp(depth)
-		}
-	}
+	// Each network takes its FIFOs from one slab, laid out in build
+	// order: the core ports, the bank ports, then per tile its egress
+	// FIFOs (one per destination group) followed by its ingress FIFO from
+	// its group router, then the links — inter-group for ordered pairs
+	// g != h, intra-group merge links for g == h. The two networks share
+	// the layout, so one index names a stage in both.
+	tileBase := nCores + nBanks
+	linkBase := tileBase + nTiles*(nGroups+1)
+	egress := func(t, g int) int { return tileBase + t*(nGroups+1) + g }
+	ingress := func(t int) int { return egress(t, nGroups) }
+	link := func(g, h int) int { return linkBase + g*nGroups + h }
+	reqs := engine.NewFIFOs[bus.Request](linkBase+nGroups*nGroups, depth, clock)
+	resps := engine.NewFIFOs[bus.Response](len(reqs), depth, clock)
+	f.allReqFIFOs, f.allRespFIFOs = reqs, resps
+	f.CoreReq = reqs[:nCores:nCores]
+	f.CoreResp = resps[:nCores:nCores]
+	f.BankReq = reqs[nCores:tileBase:tileBase]
+	f.BankResp = resps[nCores:tileBase:tileBase]
 
 	// --- Request network ---
 
@@ -210,12 +175,12 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		for c := 0; c < topo.CoresPerTile; c++ {
 			in = append(in, f.CoreReq[t*topo.CoresPerTile+c])
 		}
-		in = append(in, tileIngressReq[t])
+		in = append(in, reqs[ingress(t)])
 		out := make([]*engine.FIFO[bus.Request], 0, topo.BanksPerTile+nGroups)
 		for b := 0; b < topo.BanksPerTile; b++ {
 			out = append(out, f.BankReq[t*topo.BanksPerTile+b])
 		}
-		out = append(out, tileEgressReq[t]...)
+		out = append(out, reqs[egress(t, 0):ingress(t)]...)
 		tt := int32(t)
 		route := func(r *bus.Request) int {
 			bank := rt.bankOf(r.Addr)
@@ -233,9 +198,9 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		for h := 0; h < nGroups; h++ {
 			in := make([]*engine.FIFO[bus.Request], 0, topo.TilesPerGroup)
 			for ti := 0; ti < topo.TilesPerGroup; ti++ {
-				in = append(in, tileEgressReq[g*topo.TilesPerGroup+ti][h])
+				in = append(in, reqs[egress(g*topo.TilesPerGroup+ti, h)])
 			}
-			out := []*engine.FIFO[bus.Request]{linkReq[g][h]}
+			out := []*engine.FIFO[bus.Request]{reqs[link(g, h)]}
 			f.reqRouters = append(f.reqRouters,
 				NewRouter("link-req", in, out, func(*bus.Request) int { return 0 }))
 		}
@@ -246,11 +211,11 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		g := g
 		in := make([]*engine.FIFO[bus.Request], 0, nGroups)
 		for h := 0; h < nGroups; h++ {
-			in = append(in, linkReq[h][g])
+			in = append(in, reqs[link(h, g)])
 		}
 		out := make([]*engine.FIFO[bus.Request], 0, topo.TilesPerGroup)
 		for ti := 0; ti < topo.TilesPerGroup; ti++ {
-			out = append(out, tileIngressReq[g*topo.TilesPerGroup+ti])
+			out = append(out, reqs[ingress(g*topo.TilesPerGroup+ti)])
 		}
 		route := func(r *bus.Request) int {
 			return int(rt.bankPortGroup[rt.bankOf(r.Addr)])
@@ -266,12 +231,12 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		for b := 0; b < topo.BanksPerTile; b++ {
 			in = append(in, f.BankResp[t*topo.BanksPerTile+b])
 		}
-		in = append(in, tileIngressResp[t])
+		in = append(in, resps[ingress(t)])
 		var out []*engine.FIFO[bus.Response]
 		for c := 0; c < topo.CoresPerTile; c++ {
 			out = append(out, f.CoreResp[t*topo.CoresPerTile+c])
 		}
-		out = append(out, tileEgressResp[t]...)
+		out = append(out, resps[egress(t, 0):ingress(t)]...)
 		tt := int32(t)
 		route := func(r *bus.Response) int {
 			if rt.tileOfCore[r.Dst] == tt {
@@ -286,9 +251,9 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		for h := 0; h < nGroups; h++ {
 			in := make([]*engine.FIFO[bus.Response], 0, topo.TilesPerGroup)
 			for ti := 0; ti < topo.TilesPerGroup; ti++ {
-				in = append(in, tileEgressResp[g*topo.TilesPerGroup+ti][h])
+				in = append(in, resps[egress(g*topo.TilesPerGroup+ti, h)])
 			}
-			out := []*engine.FIFO[bus.Response]{linkResp[g][h]}
+			out := []*engine.FIFO[bus.Response]{resps[link(g, h)]}
 			f.respRouters = append(f.respRouters,
 				NewRouter("link-resp", in, out, func(*bus.Response) int { return 0 }))
 		}
@@ -298,11 +263,11 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		g := g
 		var in []*engine.FIFO[bus.Response]
 		for h := 0; h < nGroups; h++ {
-			in = append(in, linkResp[h][g])
+			in = append(in, resps[link(h, g)])
 		}
 		var out []*engine.FIFO[bus.Response]
 		for ti := 0; ti < topo.TilesPerGroup; ti++ {
-			out = append(out, tileIngressResp[g*topo.TilesPerGroup+ti])
+			out = append(out, resps[ingress(g*topo.TilesPerGroup+ti)])
 		}
 		route := func(r *bus.Response) int {
 			return int(rt.corePortGroup[r.Dst])

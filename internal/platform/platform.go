@@ -23,7 +23,9 @@ type Config struct {
 	Topo noc.Topology
 	// FIFODepth is the capacity of every fabric FIFO stage (default 2).
 	FIFODepth int
-	// WordsPerBank sizes each bank's storage (default 1024 words).
+	// WordsPerBank sizes each bank's storage (default 1024 words). A
+	// bank allocates its storage on its first write; until then every
+	// word reads 0.
 	WordsPerBank int
 	// Policy names the registered bank synchronization policy (see
 	// RegisterPolicy / PolicyNames). Empty selects PolicyPlain.

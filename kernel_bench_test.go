@@ -200,6 +200,56 @@ func BenchmarkTickHot(b *testing.B) {
 	benchTickKernels(b, hotSystem, 2000)
 }
 
+// BenchmarkNew measures building a whole system — fabric, banks, cores
+// and scheduler wiring — which every simulated point pays once before its
+// first cycle. Sleeping-waiter kinds at 256 cores spend a large share of
+// their run here, so bytes and allocations per build are the numbers to
+// watch.
+func BenchmarkNew(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		topo noc.Topology
+	}{
+		{"topo=small", noc.Small()},
+		{"topo=mempool", noc.MemPool256()},
+		{"topo=terapool", noc.TeraPool1024()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			prog := newBenchProgram()
+			cfg := platform.Config{Topo: tc.topo, Policy: platform.PolicyWaitQueue}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				platform.New(cfg, platform.SameProgram(prog))
+			}
+		})
+	}
+}
+
+// newAllocBudget bounds the allocations of one mempool platform.New: the
+// fabric's FIFOs come from one slab per network and banks allocate their
+// storage on first write, so construction allocates per router, adapter
+// and core, not per FIFO or per bank word array.
+const newAllocBudget = 6000
+
+// TestNewAllocBudget keeps construction from falling back to one
+// allocation per component.
+func TestNewAllocBudget(t *testing.T) {
+	prog := newBenchProgram()
+	cfg := platform.Config{Topo: noc.MemPool256(), Policy: platform.PolicyWaitQueue}
+	avg := testing.AllocsPerRun(3, func() { platform.New(cfg, platform.SameProgram(prog)) })
+	if avg > newAllocBudget {
+		t.Errorf("mempool platform.New makes %.0f allocations, budget %d", avg, newAllocBudget)
+	}
+}
+
+// newBenchProgram is a minimal program for construction benchmarks: New
+// never runs it.
+func newBenchProgram() *isa.Program {
+	b := isa.NewBuilder()
+	b.Halt()
+	return b.MustBuild()
+}
+
 // BenchmarkTickInstrumented gates the cost of the observability layer:
 // the scheduled kernel with its always-on KernelStats counting plus a
 // full PublishObs into the process registry per iteration (the cold-path
