@@ -59,6 +59,10 @@ func TestExitStatus(t *testing.T) {
 		// The unlistenable address makes a missing check fail fast
 		// instead of serving forever.
 		{[]string{"serve", "-partitions", "-5", "-addr", "nope"}, 2, "sweep serve: bad -partitions -5"},
+		// Inputs that would exhaust simulated or host memory are usage
+		// errors, not panics.
+		{[]string{"-kind", "fig5", "-topo", "small", "-matn", "1000"}, 2, "does not fit"},
+		{[]string{"-fig", "3", "-topo", "small", "-grid", "colibriq=17"}, 2, "bad grid colibriq 17"},
 		{[]string{"-kind", "barrier,rcu", "-topo", "small", "-params", "wait=mwait",
 			"-cache", "off", "-quiet"}, 0, ""},
 	} {

@@ -8,8 +8,7 @@
 //
 // This demo is intentionally thin: it declares a SweepJob and lets the
 // engine expand, schedule and render it, exactly like
-// `sweep -kind barrier`. Build barrier kernels directly with
-// lrscwait.BarrierProgram when you need a System of your own.
+// `sweep -kind barrier`.
 //
 // Run with: go run ./examples/barrier
 package main

@@ -366,6 +366,10 @@ func TestJobFromQueryValidation(t *testing.T) {
 		{"/v1/kind/fig6?format=xml", "bad format"},
 		{"/v1/kind/fig6?grid=bogus", "bad grid clause"},
 		{"/v1/kind/fig3?bins=0", "bad bin count"},
+		// Inputs too large for the simulated or the host memory are
+		// refused before any point runs.
+		{"/v1/kind/fig5?topo=small&matn=1000&bins=1", "does not fit"},
+		{"/v1/kind/fig3?topo=small&bins=1&grid=colibriq%3D17", "bad grid colibriq 17"},
 	} {
 		resp, body := get(t, ts.URL+tc.url, nil)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -374,5 +378,8 @@ func TestJobFromQueryValidation(t *testing.T) {
 		if !strings.Contains(string(body), tc.want) {
 			t.Errorf("%s: body %q missing %q", tc.url, body, tc.want)
 		}
+	}
+	if resp, _ := get(t, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after refused requests: %s", resp.Status)
 	}
 }

@@ -25,8 +25,7 @@
 // "kernel.policy.<name>.grants". Custom scenarios and policies are
 // first-class: register metrics under your own prefix via
 // Default().Counter("mypkg.thing") and they flow through every
-// manifest and -obs dump like the built-ins (see the lrscwait facade's
-// Obs* surface).
+// manifest and -obs dump like the built-ins.
 package obs
 
 import (

@@ -18,14 +18,18 @@ import (
 	"repro/internal/noc"
 )
 
+// DefaultWordsPerBank is the bank size a zero Config.WordsPerBank
+// selects: the paper's 1 KiWord SPM banks.
+const DefaultWordsPerBank = 1024
+
 // Config describes a system instance.
 type Config struct {
 	Topo noc.Topology
 	// FIFODepth is the capacity of every fabric FIFO stage (default 2).
 	FIFODepth int
-	// WordsPerBank sizes each bank's storage (default 1024 words). A
-	// bank allocates its storage on its first write; until then every
-	// word reads 0.
+	// WordsPerBank sizes each bank's storage (default
+	// DefaultWordsPerBank). A bank allocates its storage on its first
+	// write; until then every word reads 0.
 	WordsPerBank int
 	// Policy names the registered bank synchronization policy (see
 	// RegisterPolicy / PolicyNames). Empty selects PolicyPlain.
@@ -80,12 +84,6 @@ func resolvePartitions(p, tiles int) int {
 		p = tiles
 	}
 	return p
-}
-
-// MemPoolConfig returns the paper's 256-core evaluation configuration with
-// the given policy.
-func MemPoolConfig(policy PolicyKind) Config {
-	return Config{Topo: noc.MemPool256(), Policy: policy}
 }
 
 // SmallConfig returns a 16-core configuration for tests.
@@ -202,7 +200,7 @@ func New(cfg Config, progFor ProgramFor) *System {
 		cfg.FIFODepth = 2
 	}
 	if cfg.WordsPerBank <= 0 {
-		cfg.WordsPerBank = 1024
+		cfg.WordsPerBank = DefaultWordsPerBank
 	}
 	pol, err := ResolvePolicy(cfg.Policy, cfg.PolicyParams, cfg.Topo)
 	if err != nil {
@@ -499,8 +497,3 @@ func (s *System) WriteWord(addr, v uint32) { s.bankFor(addr).Poke(addr, v) }
 
 // ReadWord reads a memory word directly (zero simulated time).
 func (s *System) ReadWord(addr uint32) uint32 { return s.bankFor(addr).Peek(addr) }
-
-// MemWords returns the total addressable words.
-func (s *System) MemWords() int {
-	return s.Cfg.WordsPerBank * s.Cfg.Topo.NumBanks()
-}

@@ -315,7 +315,7 @@ type colibriPolicy struct {
 
 func (colibriPolicy) Name() string { return string(PolicyColibri) }
 
-func (colibriPolicy) Normalize(params PolicyParams, _ noc.Topology) (Policy, error) {
+func (colibriPolicy) Normalize(params PolicyParams, topo noc.Topology) (Policy, error) {
 	if err := params.Check(); err != nil {
 		return nil, err
 	}
@@ -326,6 +326,12 @@ func (colibriPolicy) Normalize(params PolicyParams, _ noc.Topology) (Policy, err
 	if q < 0 {
 		return nil, fmt.Errorf("platform: %s=%d (want >= 1 head/tail pair, 0 = default)",
 			ParamColibriQ, q)
+	}
+	// Each core has one outstanding request, so a bank never queues
+	// more addresses than there are cores.
+	if q > topo.NumCores() {
+		return nil, fmt.Errorf("platform: %s=%d exceeds the %d cores",
+			ParamColibriQ, q, topo.NumCores())
 	}
 	return colibriPolicy{queues: q}, nil
 }

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -84,6 +85,16 @@ func TestResolvePolicyErrors(t *testing.T) {
 	}
 	if _, err := ResolvePolicy(PolicyColibri, PolicyParams{ParamColibriQ: "-2"}, topo); err == nil {
 		t.Error("negative colibriq accepted")
+	}
+	// A bank never queues more addresses than there are cores: up to
+	// one queue per core is accepted, more would only cost memory.
+	n := strconv.Itoa(topo.NumCores())
+	if _, err := ResolvePolicy(PolicyColibri, PolicyParams{ParamColibriQ: n}, topo); err != nil {
+		t.Errorf("colibriq = core count rejected: %v", err)
+	}
+	n = strconv.Itoa(topo.NumCores() + 1)
+	if _, err := ResolvePolicy(PolicyColibri, PolicyParams{ParamColibriQ: n}, topo); err == nil {
+		t.Error("colibriq above the core count accepted")
 	}
 }
 

@@ -43,9 +43,16 @@ func TestNormalizeGridCanonicalizes(t *testing.T) {
 
 func TestNormalizeGridErrors(t *testing.T) {
 	base := Job{Kind: Fig3, Topo: "small", Bins: []int{1}}
+	perCore := base
+	perCore.ColibriQueues = []int{noc.Small().NumCores()}
+	if _, err := perCore.Normalize(); err != nil {
+		t.Errorf("colibriq = core count rejected: %v", err)
+	}
 	bad := []Job{
 		func(j Job) Job { j.QueueCaps = []int{-1}; return j }(base),
 		func(j Job) Job { j.ColibriQueues = []int{0}; return j }(base),
+		// One queue per core is the most a bank can use.
+		func(j Job) Job { j.ColibriQueues = []int{noc.Small().NumCores() + 1}; return j }(base),
 		func(j Job) Job { j.Backoffs = []int{-5}; return j }(base),
 		{Kind: TableI, Topo: "small", QueueCaps: []int{1}},
 		{Kind: TableII, Topo: "small", Backoffs: []int{64}},

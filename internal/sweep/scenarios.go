@@ -2,11 +2,13 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/area"
 	"repro/internal/energy"
 	"repro/internal/experiments"
+	"repro/internal/kernels"
 	"repro/internal/noc"
 	"repro/internal/platform"
 	"repro/internal/stats"
@@ -158,7 +160,37 @@ func (interferenceScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 	if j.MatN == 0 {
 		j.MatN = DefaultMatN
 	}
+	if j.MatN < 0 {
+		return j, fmt.Errorf("sweep: bad matrix size %d", j.MatN)
+	}
+	if memWords := topo.NumBanks() * platform.DefaultWordsPerBank; !fig5Fits(topo, j, memWords) {
+		return j, fmt.Errorf("sweep: fig5 matn %d with up to %d bins does not fit the %d-word memory of %s",
+			j.MatN, slices.Max(j.Bins), memWords, j.Topo)
+	}
 	return j, nil
+}
+
+// fig5Fits reports whether the largest point of a fig5 job fits in
+// memWords: it lays out the histogram at the largest bin count and the
+// matrices at the largest effective dimension exactly as the point
+// does, on a fresh Layout.
+func fig5Fits(topo noc.Topology, j Job, memWords int) bool {
+	n := j.MatN
+	for _, c := range experiments.Fig5Curves(topo.NumCores()) {
+		n = max(n, c.Ratio.Workers) // the point's own rounding up
+	}
+	bins := slices.Max(j.Bins)
+	// Bound each dimension first so the layout's 32-bit word arithmetic
+	// cannot wrap.
+	if bins > memWords || n > memWords || n*n > memWords {
+		return false
+	}
+	l := platform.NewLayout(0)
+	if bins > 0 { // non-positive bins are rejected by Job.Normalize
+		kernels.NewHistLayout(l, bins, topo.NumCores())
+	}
+	kernels.NewMatmulLayout(l, n)
+	return l.UsedWords() <= memWords
 }
 
 func (interferenceScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {

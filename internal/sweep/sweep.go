@@ -211,8 +211,9 @@ func (j Job) Normalize() (Job, error) {
 			}
 		}
 		for _, v := range j.ColibriQueues {
-			if v < 1 {
-				return j, fmt.Errorf("sweep: bad grid colibriq %d (need >= 1 head/tail pair)", v)
+			if v < 1 || v > topo.NumCores() {
+				return j, fmt.Errorf("sweep: bad grid colibriq %d (need 1..%d head/tail pairs, one per core at most)",
+					v, topo.NumCores())
 			}
 		}
 		for _, v := range j.Backoffs {

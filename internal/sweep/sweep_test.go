@@ -46,6 +46,11 @@ func TestNormalizeDefaults(t *testing.T) {
 	if len(j.Bins) != 11 || j.Bins[10] != 1024 {
 		t.Errorf("default bins = %v", j.Bins)
 	}
+	// The default fig5 matrix fits the smallest topology's memory.
+	j, err = Job{Kind: Fig5, Topo: "small"}.Normalize()
+	if err != nil || j.MatN != DefaultMatN {
+		t.Errorf("fig5 on small: matn %d, %v; want %d", j.MatN, err, DefaultMatN)
+	}
 }
 
 // TestLiteralZeroWindow checks the negative sentinel: a negative
@@ -85,6 +90,17 @@ func TestNormalizeErrors(t *testing.T) {
 	}
 	if _, err := (Job{Kind: Fig3, Topo: "small", Bins: []int{0}}).Normalize(); err == nil {
 		t.Error("zero bin count accepted")
+	}
+	// A fig5 layout beyond the topology's memory used to panic a pool
+	// worker while it initialized the matrices.
+	for _, j := range []Job{
+		{Kind: Fig5, Topo: "small", MatN: 1000},
+		{Kind: Fig5, Topo: "small", MatN: -1},
+		{Kind: Fig5, Topo: "small", Bins: []int{1 << 20}},
+	} {
+		if _, err := j.Normalize(); err == nil {
+			t.Errorf("fig5 matn %d bins %v accepted on small", j.MatN, j.Bins)
+		}
 	}
 }
 

@@ -3,6 +3,13 @@ package lrscwait_test
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -384,5 +391,124 @@ func TestFacadeCustomPolicy(t *testing.T) {
 	}
 	if grants == 0 {
 		t.Error("PolicyStats reports no grants")
+	}
+}
+
+// TestFacadeSurface keeps the facade to names with a caller. Every
+// exported top-level name of lrscwait.go must either be used in code as
+// lrscwait.<Name> by an example or a root-package test, or be named by
+// the signature of a declaration that is. A mention in a comment does
+// not count.
+func TestFacadeSurface(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "lrscwait.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sigs maps each exported name to the type expression its callers
+	// see: a function's signature, an alias's right-hand side, a
+	// constant's explicit type (nil when untyped).
+	sigs := map[string]ast.Expr{}
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				sigs[d.Name.Name] = d.Type
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						sigs[s.Name.Name] = s.Type
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							sigs[n.Name] = s.Type
+						}
+					}
+				}
+			}
+		}
+	}
+
+	var callers []string
+	if err := filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			callers = append(callers, path)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	callers = append(callers, tests...)
+
+	used := map[string]bool{}
+	var queue []string
+	for _, path := range callers {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "repro" {
+				local = "lrscwait"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local && !used[sel.Sel.Name] {
+					used[sel.Sel.Name] = true
+					queue = append(queue, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	// A kept declaration keeps the facade names its signature mentions.
+	// Qualified identifiers (platform.System) name internal packages,
+	// never the facade, so selectors are not descended into.
+	for len(queue) > 0 {
+		name := queue[0]
+		queue = queue[1:]
+		if sigs[name] == nil {
+			continue
+		}
+		ast.Inspect(sigs[name], func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				return false
+			case *ast.Ident:
+				if _, ok := sigs[n.Name]; ok && !used[n.Name] {
+					used[n.Name] = true
+					queue = append(queue, n.Name)
+				}
+			}
+			return true
+		})
+	}
+
+	var unused []string
+	for name := range sigs {
+		if !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("%d of %d facade names have no caller in examples/ or the root tests: %s",
+			len(unused), len(sigs), strings.Join(unused, " "))
 	}
 }
