@@ -128,6 +128,15 @@ func main() {
 		if !ok {
 			fail("unknown histogram variant %q", *variant)
 		}
+		if *bins < 1 {
+			fail("bad -bins %d (want at least 1)", *bins)
+		}
+		// Bound the bin count first so the layout's 32-bit word
+		// arithmetic cannot wrap.
+		if memWords := topo.NumBanks() * platform.DefaultWordsPerBank; *bins > memWords ||
+			kernels.HistFootprint(v, *bins, nCores) > memWords {
+			fail("%s with %d bins does not fit the %d-word memory of %s", *variant, *bins, memWords, *scale)
+		}
 		lay := kernels.NewHistLayout(l, *bins, nCores)
 		prog := kernels.HistogramProgram(v, lay, int32(*backoff), 0)
 		progFor = platform.SameProgram(prog)

@@ -42,9 +42,10 @@ func runSweep(t *testing.T, args ...string) (int, string) {
 
 // TestExitStatus pins the exit-2 usage errors — a stray positional
 // argument, including the retired worker subcommand, the retired
-// -backend flag, and a -partitions value below -1 — and that one
-// -params value can serve several pattern kinds, each seeing only the
-// caller's parameters.
+// -backend flag, a -partitions value below -1, and inputs beyond the
+// simulated memory — and that one -params value can serve several
+// pattern kinds, each seeing only the caller's parameters. A Go panic
+// exits 2 as well, so no case may print a panic trace.
 func TestExitStatus(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -63,12 +64,19 @@ func TestExitStatus(t *testing.T) {
 		// errors, not panics.
 		{[]string{"-kind", "fig5", "-topo", "small", "-matn", "1000"}, 2, "does not fit"},
 		{[]string{"-fig", "3", "-topo", "small", "-grid", "colibriq=17"}, 2, "bad grid colibriq 17"},
+		{[]string{"-kind", "fig3", "-topo", "small", "-bins", "1048576", "-warmup", "2000",
+			"-measure", "100", "-cache", "off"}, 2, "fig3 series amoadd with 1048576 bins does not fit"},
+		{[]string{"-kind", "fig4", "-topo", "small", "-bins", "1048576", "-warmup", "2000",
+			"-measure", "100", "-cache", "off"}, 2, "does not fit the 65536-word memory of small"},
+		// A bin count that fits every fig3 series still runs.
+		{[]string{"-kind", "fig3", "-topo", "small", "-bins", "16384", "-warmup", "200",
+			"-measure", "100", "-cache", "off", "-quiet"}, 0, ""},
 		{[]string{"-kind", "barrier,rcu", "-topo", "small", "-params", "wait=mwait",
 			"-cache", "off", "-quiet"}, 0, ""},
 	} {
 		code, stderr := runSweep(t, tc.args...)
-		if code != tc.code || !strings.Contains(stderr, tc.want) {
-			t.Errorf("sweep %s: exit %d, stderr %q; want exit %d with %q",
+		if code != tc.code || !strings.Contains(stderr, tc.want) || strings.Contains(stderr, "panic:") {
+			t.Errorf("sweep %s: exit %d, stderr %q; want exit %d with %q and no panic",
 				strings.Join(tc.args, " "), code, stderr, tc.code, tc.want)
 		}
 	}

@@ -86,9 +86,10 @@ func get(t *testing.T, rawURL string, hdr http.Header) (*http.Response, []byte) 
 }
 
 // TestServeColdWarmConditional is the service's core contract: a cold
-// GET computes (miss), an identical warm GET serves byte-identical
-// output with zero simulations executed (hit), and a conditional
-// re-fetch against the returned ETag costs a 304 with no body.
+// GET computes (miss), identical warm GETs serve byte-identical output
+// from the memo with no simulation and no point-cache read (hits), and
+// a conditional re-fetch against the returned ETag costs a 304 with no
+// body.
 func TestServeColdWarmConditional(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := NewServer(newDiskCache(t), WithRegistry(reg), WithWorkers(4))
@@ -128,6 +129,25 @@ func TestServeColdWarmConditional(t *testing.T) {
 	if snap.Counter("fabric.hits") != 1 {
 		t.Fatalf("after warm GET: hits=%d, want 1", snap.Counter("fabric.hits"))
 	}
+	cacheHits := snap.Counter("sweep.cache.hits")
+
+	resp, warm = get(t, u, nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(cold, warm) {
+		t.Fatalf("second warm GET: %s, bytes equal %t", resp.Status, bytes.Equal(cold, warm))
+	}
+	if got := resp.Header.Get("Content-Type"); got != "application/json" {
+		t.Fatalf("second warm GET Content-Type %q", got)
+	}
+	snap = reg.Snapshot()
+	if got := snap.Counter("sweep.cache.hits"); got != cacheHits {
+		t.Fatalf("second warm GET read %d cache entries, want 0", got-cacheHits)
+	}
+	if got := snap.Counter("sweep.points.executed"); got != executedCold {
+		t.Fatalf("second warm GET executed %d simulations, want 0", got-executedCold)
+	}
+	if snap.Counter("fabric.hits") != 2 {
+		t.Fatalf("after second warm GET: hits=%d, want 2", snap.Counter("fabric.hits"))
+	}
 
 	resp, body := get(t, u, http.Header{"If-None-Match": {etag}})
 	if resp.StatusCode != http.StatusNotModified {
@@ -150,19 +170,21 @@ func TestServeColdWarmConditional(t *testing.T) {
 
 // TestServeAllKindsByteIdentity pins the acceptance bar: every built-in
 // kind served over HTTP in every format is byte-identical to the CLI
-// path (the Result emitters on a local Runner).
+// path (the Result emitters on a local Runner), both when rendered and
+// when fetched again from the memo.
 func TestServeAllKindsByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seven full kinds")
 	}
 	cache := newDiskCache(t)
-	srv := NewServer(cache, WithRegistry(obs.NewRegistry()), WithWorkers(4))
+	reg := obs.NewRegistry()
+	srv := NewServer(cache, WithRegistry(reg), WithWorkers(4))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	for _, kind := range sweep.Kinds() {
 		runner := sweep.Runner{Workers: 4, Cache: cache, Obs: obs.NewRegistry()}
-		res, _, err := runner.Run(testJob(kind))
+		res, st, err := runner.Run(testJob(kind))
 		if err != nil {
 			t.Fatalf("%s: local run: %v", kind, err)
 		}
@@ -177,13 +199,22 @@ func TestServeAllKindsByteIdentity(t *testing.T) {
 		}
 		for format, wantBytes := range want {
 			u := fmt.Sprintf("%s/v1/kind/%s?%s&format=%s", ts.URL, kind, testQuery(kind).Encode(), format)
-			resp, got := get(t, u, nil)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s %s: %s\n%s", kind, format, resp.Status, got)
-			}
-			if !bytes.Equal(got, wantBytes) {
-				t.Errorf("%s %s: HTTP bytes differ from CLI emitter\nhttp:\n%s\ncli:\n%s",
-					kind, format, got, wantBytes)
+			for _, fetch := range []string{"rendered", "memo"} {
+				before := reg.Snapshot()
+				resp, got := get(t, u, nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s %s %s: %s\n%s", kind, format, fetch, resp.Status, got)
+				}
+				if !bytes.Equal(got, wantBytes) {
+					t.Errorf("%s %s %s: HTTP bytes differ from CLI emitter\nhttp:\n%s\ncli:\n%s",
+						kind, format, fetch, got, wantBytes)
+				}
+				// Jobs with an uncacheable point (table1's model rows)
+				// are rendered again instead.
+				if d := obs.Diff(before, reg.Snapshot()); fetch == "memo" && st.Uncacheable == 0 &&
+					d.Counter("sweep.points.total") != 0 {
+					t.Errorf("%s %s: second fetch ran the engine", kind, format)
+				}
 			}
 		}
 	}
@@ -257,6 +288,117 @@ func TestServeCoalescing(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counter("fabric.coalesced"); got != n-1 {
 		t.Fatalf("fabric.coalesced = %d, want %d", got, n-1)
+	}
+}
+
+// TestServeUncacheableRecomputes pins the memo's first condition: a job
+// with a point that has no cache key is never memoized, so sequential
+// requests run the scenario each time.
+func TestServeUncacheableRecomputes(t *testing.T) {
+	srv := NewServer(newDiskCache(t), WithRegistry(obs.NewRegistry()), WithWorkers(2))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	slowSc.runs.Store(0)
+	u := ts.URL + "/v1/kind/" + slowSc.Name() + "?topo=small"
+	for i := 0; i < 2; i++ {
+		if resp, body := get(t, u, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: %s\n%s", i, resp.Status, body)
+		}
+	}
+	if got := slowSc.runs.Load(); got != 2 {
+		t.Fatalf("2 sequential requests ran the uncacheable scenario %d times, want 2", got)
+	}
+}
+
+// TestServeNoCacheNoMemo pins the memo's second condition: a server
+// without a point cache stays compute-only, so a repeated request
+// simulates again.
+func TestServeNoCacheNoMemo(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := NewServer(nil, WithRegistry(reg), WithWorkers(2))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	q := testQuery(sweep.Fig3)
+	q.Set("bins", "1")
+	u := ts.URL + "/v1/kind/fig3?" + q.Encode()
+	_, first := get(t, u, nil)
+	executed := reg.Snapshot().Counter("sweep.points.executed")
+	if executed == 0 {
+		t.Fatal("first request executed no simulations")
+	}
+	resp, second := get(t, u, nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(first, second) {
+		t.Fatalf("second request: %s, bytes equal %t", resp.Status, bytes.Equal(first, second))
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counter("sweep.points.executed"); got != 2*executed {
+		t.Fatalf("executed %d simulations over 2 requests, want %d", got, 2*executed)
+	}
+	if snap.Counter("fabric.hits") != 0 || snap.Counter("fabric.misses") != 2 {
+		t.Fatalf("hits=%d misses=%d, want 0/2", snap.Counter("fabric.hits"), snap.Counter("fabric.misses"))
+	}
+	if _, ok := srv.memo.get(resp.Header.Get("ETag")); ok || srv.memo.bytes != 0 {
+		t.Fatalf("compute-only server memoized %d bytes", srv.memo.bytes)
+	}
+}
+
+// TestBodyMemoBound pins the memo's byte cap: inserts past it drop the
+// oldest bodies first, the total never exceeds the cap, and a body
+// larger than the cap is not kept.
+func TestBodyMemoBound(t *testing.T) {
+	m := bodyMemo{limit: 100}
+	for i := 0; i < 20; i++ {
+		m.put(fmt.Sprint(i), bytes.Repeat([]byte{'x'}, 10+i%7))
+		m.put(fmt.Sprint(i), []byte("duplicate keeps the first body"))
+		total := 0
+		for _, b := range m.m {
+			total += len(b)
+		}
+		if m.bytes != total || m.bytes > m.limit || len(m.order) != len(m.m) {
+			t.Fatalf("after %d puts: bytes %d, bodies sum %d, %d keys for %d bodies, limit %d",
+				i+1, m.bytes, total, len(m.order), len(m.m), m.limit)
+		}
+	}
+	if _, ok := m.get("0"); ok {
+		t.Fatal("oldest body survived filling past the cap")
+	}
+	if b, ok := m.get("19"); !ok || len(b) != 10+19%7 {
+		t.Fatalf("newest body: %q, %t", b, ok)
+	}
+	m.put("big", make([]byte, 101))
+	if _, ok := m.get("big"); ok {
+		t.Fatal("a body larger than the cap was kept")
+	}
+}
+
+// TestBodyMemoConcurrent drives one memo from several goroutines with
+// evictions in flight (run under -race): every hit returns the body
+// stored under its key, and the accounting still holds afterwards.
+func TestBodyMemoConcurrent(t *testing.T) {
+	m := bodyMemo{limit: 64}
+	body := func(k int) []byte { return bytes.Repeat([]byte{byte('a' + k%26)}, 1+k%9) }
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				k := (i*7 + g) % 40
+				m.put(fmt.Sprint(k), body(k))
+				if b, ok := m.get(fmt.Sprint((k + 3) % 40)); ok && !bytes.Equal(b, body((k+3)%40)) {
+					t.Errorf("key %d: got %q", (k+3)%40, b)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	total := 0
+	for _, b := range m.m {
+		total += len(b)
+	}
+	if m.bytes != total || m.bytes > m.limit || len(m.order) != len(m.m) {
+		t.Fatalf("bytes %d, bodies sum %d, %d keys for %d bodies, limit %d",
+			m.bytes, total, len(m.order), len(m.m), m.limit)
 	}
 }
 
@@ -370,6 +512,10 @@ func TestJobFromQueryValidation(t *testing.T) {
 		// refused before any point runs.
 		{"/v1/kind/fig5?topo=small&matn=1000&bins=1", "does not fit"},
 		{"/v1/kind/fig3?topo=small&bins=1&grid=colibriq%3D17", "bad grid colibriq 17"},
+		// Histogram bins past the memory used to panic a pool worker and
+		// take the server down.
+		{"/v1/kind/fig3?topo=small&bins=1048576&warmup=2000&measure=100", "does not fit"},
+		{"/v1/kind/fig4?topo=small&bins=1048576&warmup=2000&measure=100", "does not fit"},
 	} {
 		resp, body := get(t, ts.URL+tc.url, nil)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -5,10 +5,10 @@
 // The package follows the source paper's thesis at service scale:
 // polling and retrying are the enemies of scale. Concurrent identical
 // requests collapse into one computation with wake-on-ready followers
-// (singleflight, no retry loop); warm traffic is answered from the disk
-// cache without ever touching the simulator; and conditional requests
-// (If-None-Match against cache-key-derived ETags) don't even transfer
-// the body.
+// (singleflight, no retry loop); warm traffic is answered from rendered
+// bodies kept in memory under their ETag, without touching the
+// simulator or the disk cache; and conditional requests (If-None-Match
+// against cache-key-derived ETags) don't even transfer the body.
 //
 // Routes: GET /v1/kind/{name} answers any registered scenario in
 // json/csv/table form, GET /v1/kinds lists them, and /healthz and
@@ -39,6 +39,7 @@ type Server struct {
 	logf    func(format string, args ...any)
 
 	flights flightGroup
+	memo    bodyMemo
 }
 
 // ServerOption configures NewServer.
@@ -56,7 +57,7 @@ func WithLog(f func(format string, args ...any)) ServerOption { return func(s *S
 // NewServer builds a service node over cache (nil serves compute-only,
 // with no cross-request memoization beyond singleflight).
 func NewServer(cache *sweep.Cache, opts ...ServerOption) *Server {
-	s := &Server{cache: cache}
+	s := &Server{cache: cache, memo: bodyMemo{limit: memoLimit}}
 	for _, o := range opts {
 		o(s)
 	}
@@ -179,7 +180,8 @@ func etagMatches(header, etag string) bool {
 // flightOutcome is what one singleflight execution hands every caller.
 type flightOutcome struct {
 	res      *sweep.Result
-	executed int // points not served by the cache
+	executed int  // points not served by the cache
+	memoize  bool // a server cache and a key for every point: bodies may be kept
 }
 
 func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
@@ -196,15 +198,21 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := jobIdentity(norm)
+	etag := ""
 	if id != "" {
 		// The ETag derives from the same identity the cache keys on:
 		// binary fingerprint + normalized job, suffixed per format since
 		// each format serves different bytes.
-		etag := `"` + id[:32] + "-" + format + `"`
+		etag = `"` + id[:32] + "-" + format + `"`
 		w.Header().Set("ETag", etag)
 		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
 			reg.Counter("fabric.not_modified").Inc()
 			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		if body, ok := s.memo.get(etag); ok {
+			reg.Counter("fabric.hits").Inc()
+			s.writeBody(w, norm.Kind, body, format)
 			return
 		}
 	}
@@ -238,42 +246,59 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 			reg.Counter("fabric.misses").Inc()
 		}
 	}
-	if err := writeResult(w, out.res, format); err != nil {
+	body, err := render(out.res, format)
+	if err != nil {
 		reg.Counter("fabric.errors").Inc()
 		s.logf("fabric: render %s: %v", norm.Kind, err)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	if out.memoize && etag != "" {
+		s.memo.put(etag, body)
+	}
+	s.writeBody(w, norm.Kind, body, format)
 }
 
-// writeResult renders a result in the requested format, byte-identical
-// to the CLI emitters (same JSON/CSV/Table methods).
-func writeResult(w http.ResponseWriter, res *sweep.Result, format string) error {
+// render produces a result's body in format, byte-identical to the CLI
+// emitters (same JSON/CSV/Table methods).
+func render(res *sweep.Result, format string) ([]byte, error) {
 	switch format {
 	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		_, err := io.WriteString(w, res.CSV())
-		return err
+		return []byte(res.CSV()), nil
 	case "table":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, err := io.WriteString(w, res.Table().String())
-		return err
+		return []byte(res.Table().String()), nil
 	default:
-		b, err := res.JSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return err
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, err = w.Write(b)
-		return err
+		return res.JSON()
 	}
 }
 
-// compute produces a job's result through the in-process pool.
+// writeBody answers with a rendered body and its format's Content-Type.
+func (s *Server) writeBody(w http.ResponseWriter, kind sweep.Kind, body []byte, format string) {
+	ctype := "application/json"
+	switch format {
+	case "csv":
+		ctype = "text/csv; charset=utf-8"
+	case "table":
+		ctype = "text/plain; charset=utf-8"
+	}
+	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := w.Write(body); err != nil {
+		s.obs().Counter("fabric.errors").Inc()
+		s.logf("fabric: write %s: %v", kind, err)
+	}
+}
+
+// compute produces a job's result through the in-process pool. Its
+// bodies may be memoized only when the server has a point cache and
+// every point has a cache key: exactly the jobs the disk cache could
+// answer warm anyway. A -cache off server stays compute-only.
 func (s *Server) compute(norm sweep.Job) (*flightOutcome, error) {
 	runner := sweep.Runner{Workers: s.workers, Cache: s.cache, Obs: s.reg}
 	res, st, err := runner.Run(norm)
 	if err != nil {
 		return nil, err
 	}
-	return &flightOutcome{res: res, executed: st.Executed}, nil
+	return &flightOutcome{res: res, executed: st.Executed,
+		memoize: s.cache != nil && st.Uncacheable == 0}, nil
 }

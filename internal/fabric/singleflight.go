@@ -14,8 +14,8 @@ type flight struct {
 
 // flightGroup deduplicates concurrent identical computations (classic
 // singleflight, dependency-free). Completed flights are forgotten
-// immediately: result freshness is the point cache's job, the group
-// only collapses concurrency.
+// immediately: keeping finished bodies is the server's memo's job (and
+// the point cache's, for points), the group only collapses concurrency.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight

@@ -88,6 +88,28 @@ func NewHistLayout(l *platform.Layout, numBins, nCores int) HistLayout {
 	return lay
 }
 
+// HistFootprint returns how many words, counted from word 0, variant v
+// touches with numBins bins on nCores cores when its sections come from
+// NewHistLayout on a fresh platform.NewLayout(0): the end of the last
+// section v uses. The AMO and LR/SC variants use only the bins, the
+// spin and ticket locks also their lock arrays, and the MCS lock its
+// lock array and per-core nodes. Callers bound numBins by the memory
+// size first, so the layout's 32-bit byte addresses cannot wrap.
+func HistFootprint(v HistVariant, numBins, nCores int) int {
+	lay := NewHistLayout(platform.NewLayout(0), numBins, nCores)
+	end := func(base uint32, words int) int { return int(base/4) + words }
+	switch v {
+	case HistLockLRSC, HistLockLRSCWait:
+		return end(lay.TASLocks, numBins)
+	case HistLockTicket:
+		return end(lay.TicketLocks, 2*numBins)
+	case HistLockMCSMwait:
+		return end(lay.MCSNodes, locks.MCSNodeWords*nCores)
+	default:
+		return end(lay.Bins, numBins)
+	}
+}
+
 // Histogram register plan (callee-owned, no calls):
 //
 //	s0 bins base     s1 bin mask       s2 PRNG state   s3 loop counter

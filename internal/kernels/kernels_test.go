@@ -215,3 +215,34 @@ func TestQueueLockTicket(t *testing.T) {
 func TestQueueLRSCWaitIdealPolicy(t *testing.T) {
 	runQueue(t, QueueLRSCWait, platform.PolicyWaitQueue, 12)
 }
+
+// TestHistFootprint pins each variant's footprint, and that every
+// variant runs at the largest bin count whose footprint fits the small
+// topology's memory: its sections then end inside the last bank row.
+func TestHistFootprint(t *testing.T) {
+	const bins, cores = 8, 16
+	for _, tc := range []struct {
+		v      HistVariant
+		policy platform.PolicyKind
+		words  int // footprint of 8 bins on 16 cores
+	}{
+		{HistAmoAdd, platform.PolicyPlain, bins},
+		{HistLRSC, platform.PolicyLRSCSingle, bins},
+		{HistLRSCWait, platform.PolicyColibri, bins},
+		{HistLockLRSC, platform.PolicyLRSCSingle, 2 * bins},
+		{HistLockLRSCWait, platform.PolicyColibri, 2 * bins},
+		{HistLockTicket, platform.PolicyLRSCSingle, 4 * bins},
+		{HistLockMCSMwait, platform.PolicyColibri, 5*bins + 2*cores},
+	} {
+		if got := HistFootprint(tc.v, bins, cores); got != tc.words {
+			t.Errorf("%v: footprint %d, want %d", tc.v, got, tc.words)
+		}
+		cfg := platform.SmallConfig(tc.policy)
+		memWords := cfg.Topo.NumBanks() * platform.DefaultWordsPerBank
+		n := 1
+		for HistFootprint(tc.v, n+1, cfg.Topo.NumCores()) <= memWords {
+			n++
+		}
+		runHistogram(t, tc.v, tc.policy, n, 4, 5000000)
+	}
+}

@@ -45,10 +45,11 @@ type PointTiming struct {
 // band (never part of a Result) so result JSON stays run-independent;
 // the run manifest serializes it wholesale.
 type RunStats struct {
-	Units     int           `json:"units"`     // distinct work units (identical points across jobs collapse)
-	Executed  int           `json:"executed"`  // simulations executed this run
-	CacheHits int           `json:"cacheHits"` // units served from the cache
-	Elapsed   time.Duration `json:"elapsedNs"`
+	Units       int           `json:"units"`                 // distinct work units (identical points across jobs collapse)
+	Executed    int           `json:"executed"`              // simulations executed this run
+	CacheHits   int           `json:"cacheHits"`             // units served from the cache
+	Uncacheable int           `json:"uncacheable,omitempty"` // units without a cache key: run on every call
+	Elapsed     time.Duration `json:"elapsedNs"`
 
 	// Workers is the effective pool width of the run.
 	Workers int `json:"workers"`
@@ -127,6 +128,7 @@ func (r *Runner) RunAll(jobs []Job) ([]*Result, RunStats, error) {
 	}
 	var units []*flatUnit
 	byKey := map[string]*flatUnit{}
+	uncacheable := 0
 	for ji, job := range jobs {
 		norm, err := job.Normalize()
 		if err != nil {
@@ -149,6 +151,8 @@ func (r *Runner) RunAll(jobs []Job) ([]*Result, RunStats, error) {
 			units = append(units, fu)
 			if u.key != "" {
 				byKey[u.key] = fu
+			} else {
+				uncacheable++
 			}
 		}
 	}
@@ -232,14 +236,15 @@ func (r *Runner) RunAll(jobs []Job) ([]*Result, RunStats, error) {
 	reg.Counter("sweep.points.cached").Add(uint64(hits.Load()))
 	reg.Gauge("sweep.workers").Set(int64(nWorkers))
 	st := RunStats{
-		Units:      len(units),
-		Executed:   int(executed.Load()),
-		CacheHits:  int(hits.Load()),
-		Elapsed:    time.Since(start),
-		Workers:    nWorkers,
-		WorkerBusy: busy,
-		Timings:    timings,
-		Metrics:    obs.Diff(before, reg.Snapshot()),
+		Units:       len(units),
+		Executed:    int(executed.Load()),
+		CacheHits:   int(hits.Load()),
+		Uncacheable: uncacheable,
+		Elapsed:     time.Since(start),
+		Workers:     nWorkers,
+		WorkerBusy:  busy,
+		Timings:     timings,
+		Metrics:     obs.Diff(before, reg.Snapshot()),
 	}
 	return results, st, nil
 }

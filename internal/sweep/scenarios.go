@@ -102,6 +102,19 @@ func (s histScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 	if len(j.Bins) == 0 {
 		j.Bins = experiments.StandardBins(topo)
 	}
+	bins := slices.Max(j.Bins)
+	if bins <= 0 {
+		return j, nil // non-positive bins are rejected by Job.Normalize
+	}
+	memWords := topo.NumBanks() * platform.DefaultWordsPerBank
+	for _, spec := range s.specs(topo) {
+		// Bound the bin count first so the layout's 32-bit word
+		// arithmetic cannot wrap.
+		if bins > memWords || kernels.HistFootprint(spec.Variant, bins, topo.NumCores()) > memWords {
+			return j, fmt.Errorf("sweep: %s series %s with %d bins does not fit the %d-word memory of %s",
+				s.kind, spec.Name, bins, memWords, j.Topo)
+		}
+	}
 	return j, nil
 }
 

@@ -51,6 +51,19 @@ func TestNormalizeDefaults(t *testing.T) {
 	if err != nil || j.MatN != DefaultMatN {
 		t.Errorf("fig5 on small: matn %d, %v; want %d", j.MatN, err, DefaultMatN)
 	}
+	// Histogram bin counts whose every series fits the 65536-word memory
+	// of the small topology run: the bins alone for fig3, the bins plus
+	// the MCS lock's lock array and nodes (5 words a bin + 2 a core) for
+	// fig4.
+	for _, j := range []Job{
+		{Kind: Fig3, Topo: "small", Bins: []int{1, 16384}},
+		{Kind: Fig3, Topo: "small", Bins: []int{65536}},
+		{Kind: Fig4, Topo: "small", Bins: []int{13100}},
+	} {
+		if _, err := j.Normalize(); err != nil {
+			t.Errorf("%s bins %v on small: %v", j.Kind, j.Bins, err)
+		}
+	}
 }
 
 // TestLiteralZeroWindow checks the negative sentinel: a negative
@@ -100,6 +113,23 @@ func TestNormalizeErrors(t *testing.T) {
 	} {
 		if _, err := j.Normalize(); err == nil {
 			t.Errorf("fig5 matn %d bins %v accepted on small", j.MatN, j.Bins)
+		}
+	}
+	// Histogram bins beyond the memory used to panic a pool worker on
+	// the first access past a bank's capacity.
+	for _, tc := range []struct {
+		job  Job
+		want string
+	}{
+		{Job{Kind: Fig3, Topo: "small", Bins: []int{1, 1 << 20}}, "fig3 series amoadd with 1048576 bins"},
+		{Job{Kind: Fig3, Topo: "small", Bins: []int{65537}}, "does not fit the 65536-word memory"},
+		{Job{Kind: Fig4, Topo: "small", Bins: []int{1 << 20}}, "fig4 series colibri"},
+		{Job{Kind: Fig4, Topo: "small", Bins: []int{13101}}, "fig4 series mwait-lock with 13101 bins"},
+		{Job{Kind: Fig4, Topo: "small", Bins: []int{1 << 40}}, "does not fit"},
+	} {
+		_, err := tc.job.Normalize()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s bins %v on small: %v, want an error with %q", tc.job.Kind, tc.job.Bins, err, tc.want)
 		}
 	}
 }
